@@ -12,103 +12,9 @@ The package has two halves that check each other:
   separability function itself.
 
 ``verify.run_checks`` wires the halves together; the ``sepscope`` console
-script exposes everything on the command line.
+script exposes everything on the command line.  The building blocks are
+imported from their submodules (``sepscope.estimator`` and so on); the
+package root holds only ``__version__``.
 """
 
-from .errors import (
-    DegenerateStateError,
-    InsufficientSamplesError,
-    InvalidStateError,
-    NonPsdError,
-    QuadratureError,
-    SepscopeError,
-)
-from .estimator import (
-    BATCH_SIZE,
-    MINOR_BRANCH_TABLE,
-    CurveComparison,
-    DesfHistogram,
-    EstimateResult,
-    MinorSelector,
-    binomial_two_sided_pvalue,
-    compare_curves,
-    estimate_abs_sep_probability,
-    estimate_desf,
-    estimate_minor_desf,
-    estimate_sep_probability,
-    minor_event_mask,
-)
-from .qstate import (
-    BlooreCoords,
-    DensityMatrix,
-    from_bloore,
-    is_absolutely_separable,
-    is_psd,
-    is_separable,
-    partial_transpose,
-    to_bloore,
-    werner,
-    xi_of,
-)
-from .quadrature import (
-    BoundRow,
-    QuadratureResult,
-    bound_table,
-    complex_speculation_probability,
-    integrate_real_line,
-    separability_probability,
-    twofold_ratio,
-)
-from .sampling import (
-    SampleBatch,
-    SequenceSpec,
-    cube_to_bloore,
-    cube_to_bloore_batch,
-    next_points,
-    star_discrepancy,
-)
-from .sepfun import (
-    JACOBIAN_AT_ZERO,
-    TAGS,
-    DesfCurve,
-    JacobianSpec,
-    curve_at_zero,
-    envelope,
-    eval_desf,
-    eval_desf_array,
-    eval_jacobian,
-    jacobian_general_beta,
-    jacobian_xi,
-)
-from .verify import CheckResult, run_checks
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "SepscopeError", "InvalidStateError", "DegenerateStateError",
-    "NonPsdError", "QuadratureError", "InsufficientSamplesError",
-    # states
-    "DensityMatrix", "BlooreCoords", "werner", "from_bloore", "to_bloore",
-    "xi_of", "partial_transpose", "is_psd", "is_separable",
-    "is_absolutely_separable",
-    # curves and density
-    "TAGS", "DesfCurve", "curve_at_zero", "envelope", "eval_desf",
-    "eval_desf_array", "JacobianSpec", "eval_jacobian", "jacobian_xi",
-    "jacobian_general_beta", "JACOBIAN_AT_ZERO",
-    # quadrature
-    "QuadratureResult", "integrate_real_line", "separability_probability",
-    "complex_speculation_probability", "twofold_ratio", "BoundRow",
-    "bound_table",
-    # sampling
-    "SequenceSpec", "SampleBatch", "next_points", "cube_to_bloore",
-    "cube_to_bloore_batch", "star_discrepancy",
-    # estimators
-    "BATCH_SIZE", "EstimateResult", "DesfHistogram", "MinorSelector",
-    "MINOR_BRANCH_TABLE", "minor_event_mask", "estimate_sep_probability",
-    "estimate_abs_sep_probability", "estimate_desf", "estimate_minor_desf",
-    "CurveComparison", "compare_curves", "binomial_two_sided_pvalue",
-    # verification
-    "CheckResult", "run_checks",
-]

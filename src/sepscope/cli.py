@@ -47,9 +47,9 @@ from .estimator import (
 from .quadrature import (
     SPECULATION_REF_EXPR,
     SPECULATION_REF_VALUE,
+    BoundRow,
     bound_table,
     complex_speculation_probability,
-    twofold_ratio,
 )
 from .sampling import SequenceSpec
 from .sepfun import TAGS, DesfCurve, eval_desf_array, jacobian_general_beta, jacobian_xi
@@ -166,7 +166,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_bounds(args) -> int:
     rows = bound_table(tol=args.tol)
-    spec_res = complex_speculation_probability(tol=max(args.tol, 1e-10))
+    rows.append(BoundRow(
+        tag="conjecture_sq_beta2",
+        ref_expr=SPECULATION_REF_EXPR,
+        ref_value=SPECULATION_REF_VALUE,
+        result=complex_speculation_probability(tol=max(args.tol, 1e-10)),
+    ))
     header = (
         "tag", "ref_expr", "ref_value", "value",
         "abs_err_est", "evals", "abs_diff", "half", "converged",
@@ -178,12 +183,6 @@ def _cmd_bounds(args) -> int:
         )
         for r in rows
     ]
-    out_rows.append((
-        "conjecture_sq_beta2", SPECULATION_REF_EXPR, SPECULATION_REF_VALUE,
-        spec_res.value, spec_res.abs_err_est, spec_res.evals,
-        abs(spec_res.value - SPECULATION_REF_VALUE),
-        twofold_ratio(min(max(spec_res.value, 0.0), 1.0)), True,
-    ))
     params = {"tol": args.tol, "format": args.format}
     if args.format == "json":
         data = {"rows": [dict(zip(header, row)) for row in out_rows]}
@@ -286,12 +285,24 @@ def _cmd_desf(args) -> int:
 
 
 def _load_desf_csv(path: str) -> DesfHistogram:
-    """Read back a histogram written by ``desf --format csv``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read back a histogram written by ``desf --format csv``.
+
+    The data section must match the ``output_sha256`` of its manifest, and
+    every row must carry every column; otherwise ``ValueError``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    _, _, rest = text.partition("\n")
+    man_line, _, data = rest.partition("\n")
+    if not man_line.startswith("# manifest: "):
+        raise ValueError(f"{path} has no manifest line")
+    manifest = json.loads(man_line[len("# manifest: "):])
+    digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+    if not isinstance(manifest, dict) or manifest.get("output_sha256") != digest:
+        raise ValueError(f"{path}: the data does not match its manifest's digest")
     outside = {"n_psd": 0, "n_sep": 0, "n_total": 0}
     body = []
-    for line in lines:
+    for line in data.splitlines():
         if line.startswith("#"):
             stripped = line.lstrip("# ").strip()
             if stripped.startswith("outside:"):
@@ -301,7 +312,7 @@ def _load_desf_csv(path: str) -> DesfHistogram:
             continue
         if line:
             body.append(line)
-    if not body:
+    if len(body) < 2:
         raise ValueError(f"no data rows in {path}")
     reader = csv.reader(body)
     header = next(reader)
@@ -311,6 +322,10 @@ def _load_desf_csv(path: str) -> DesfHistogram:
             raise ValueError(f"{path} lacks required column {need!r}")
     lows, highs, n_psd, n_sep = [], [], [], []
     for row in reader:
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: a row has {len(row)} columns, the header {len(header)}"
+            )
         lows.append(float(row[idx["bin_lo"]]))
         highs.append(float(row[idx["bin_hi"]]))
         n_psd.append(int(row[idx["n_psd"]]))

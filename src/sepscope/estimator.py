@@ -8,6 +8,11 @@ Every estimator here follows one discipline:
   per-bin, per-grid-point events);
 * tallies merge in sorted key order.
 
+One driver (``_estimate``) plans, runs and merges the batches of all four
+estimators.  Within a batch the state estimators run the stages stream ->
+cube-to-state map -> positivity mask (``_states``) -> separability test ->
+tally; the minor estimator streams correlations only and skips the map.
+
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
 depend on execution order, results are byte-identical no matter how many
 worker threads execute the batches.  Statistics (means, standard errors)
@@ -116,18 +121,12 @@ def _run_batches(tasks, kernel, workers: int):
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    results = {}
-    if workers == 1:
-        for key, spec, off, size in tasks:
-            results[key] = kernel(spec, off, size)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                key: pool.submit(kernel, spec, off, size)
-                for key, spec, off, size in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            key: pool.submit(kernel, spec, off, size)
+            for key, spec, off, size in tasks
+        }
+        results = {key: fut.result() for key, fut in futures.items()}
     merged = {}
     for key in sorted(results):
         rep = key[0]
@@ -141,10 +140,32 @@ def _run_batches(tasks, kernel, workers: int):
     return merged
 
 
-def _replicate_specs(spec: SequenceSpec, replicates: int):
-    if replicates == 1:
-        return [spec]
-    return [spec.spawn(r) for r in range(replicates)]
+def _estimate(spec, n, dimension, kernel, workers, replicates=1):
+    """The one batch driver: plan, run and merge every estimator's batches.
+
+    Replicate ``r`` of a pooled estimate reads ``n // replicates`` points of
+    its own stream ``spec.spawn(r)``.  Returns the merged tally of each
+    replicate, in replicate order, and the number of stream points read.
+    """
+    if spec.dimension != dimension:
+        raise ValueError(
+            f"this estimator needs a {dimension}-dimensional sequence spec"
+        )
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    n_per = n // replicates
+    if n_per < 1:
+        raise ValueError(f"n={n} is too small for {replicates} replicates")
+    specs = [spec] if replicates == 1 else [spec.spawn(r) for r in range(replicates)]
+    tasks = [
+        ((rep, idx), rep_spec, off, size)
+        for rep, rep_spec in enumerate(specs)
+        for idx, off, size in _batch_plan(n_per)
+    ]
+    merged = _run_batches(tasks, kernel, workers)
+    return [merged[rep] for rep in range(replicates)], n_per * replicates
 
 
 def _default_replicates(spec: SequenceSpec) -> int:
@@ -157,10 +178,10 @@ def _default_replicates(spec: SequenceSpec) -> int:
 
 
 def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
-    """Combine per-replicate (hits, n_eff) pairs into one estimate."""
+    """Combine per-replicate (n_eff, hits) tallies into one estimate."""
     means = []
     n_eff = 0
-    for hits, eff in per_rep:
+    for eff, hits in per_rep:
         if eff <= 0:
             raise InsufficientSamplesError(
                 "a replicate produced no conditioning samples; increase n"
@@ -180,58 +201,42 @@ def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
     )
 
 
-def _conditional_estimate(spec, n, workers, replicates, kernel) -> EstimateResult:
-    """Shared driver for scalar conditional-probability estimators."""
-    if spec.dimension != 9:
-        raise ValueError("state estimators need a 9-dimensional sequence spec")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _states(spec, offset, size):
+    """Stream, map and mask one batch: the ``(diag, z)`` of its positive states."""
+    pts = next_points(spec, size, offset)
+    diag, z = cube_to_bloore_batch(pts)
+    psd = z_psd_mask(z)
+    return diag[psd], z[psd]
+
+
+def _pt_separable(diag, z):
+    """xi of each state, and whether its partial transpose has a non-negative
+    determinant (for two qubits, exactly separability)."""
+    xi = xi_from_diag(diag)
+    return xi, pt_corr_det4(z, xi) >= 0.0
+
+
+def _abs_separable(diag, z):
+    """The spectral test l1 - l3 - 2 sqrt(l2 l4) <= 0 on ordered eigenvalues."""
+    ev = np.linalg.eigvalsh(assemble_states(diag, z))
+    gap = ev[:, 3] - ev[:, 1] - 2.0 * np.sqrt(np.maximum(ev[:, 2] * ev[:, 0], 0.0))
+    return gap <= 0.0
+
+
+def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
+    """P(test | positive), each batch tallying (positive states, passing)."""
+
+    def kernel(batch_spec, offset, size):
+        diag, z = _states(batch_spec, offset, size)
+        return (len(z), int(test(diag, z).sum()))
+
     if replicates is None:
         replicates = _default_replicates(spec)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    specs = _replicate_specs(spec, replicates)
-    n_per = n // replicates
-    if n_per < 1:
-        raise ValueError(f"n={n} is too small for {replicates} replicates")
-    tasks = [
-        ((rep, idx), specs[rep], off, size)
-        for rep in range(replicates)
-        for idx, off, size in _batch_plan(n_per)
-    ]
-    merged = _run_batches(tasks, kernel, workers)
-    n_total = n_per * replicates
+    per_rep, n_total = _estimate(spec, n, 9, kernel, workers, replicates)
     if replicates == 1:
-        hits, eff = merged[0][1], merged[0][0]
-        return EstimateResult.from_counts(hits, eff, n_total)
-    return _pool_replicates(
-        [(merged[r][1], merged[r][0]) for r in range(replicates)], n_total
-    )
-
-
-def _sep_kernel(spec, offset, size):
-    pts = next_points(spec, size, offset).points
-    diag, z = cube_to_bloore_batch(pts)
-    psd = z_psd_mask(z)
-    n_psd = int(psd.sum())
-    if n_psd == 0:
-        return (0, 0)
-    xi = xi_from_diag(diag[psd])
-    n_sep = int((pt_corr_det4(z[psd], xi) >= 0.0).sum())
-    return (n_psd, n_sep)
-
-
-def _abs_sep_kernel(spec, offset, size):
-    pts = next_points(spec, size, offset).points
-    diag, z = cube_to_bloore_batch(pts)
-    psd = z_psd_mask(z)
-    n_psd = int(psd.sum())
-    if n_psd == 0:
-        return (0, 0)
-    ev = np.linalg.eigvalsh(assemble_states(diag[psd], z[psd]))
-    gap = ev[:, 3] - ev[:, 1] - 2.0 * np.sqrt(np.maximum(ev[:, 2] * ev[:, 0], 0.0))
-    n_abs = int((gap <= 0.0).sum())
-    return (n_psd, n_abs)
+        n_eff, hits = per_rep[0]
+        return EstimateResult.from_counts(hits, n_eff, n_total)
+    return _pool_replicates(per_rep, n_total)
 
 
 def estimate_sep_probability(
@@ -244,7 +249,9 @@ def estimate_sep_probability(
     no eigensolve is needed.  ``n`` is the total cube-point budget, split
     evenly when replicates are pooled.
     """
-    return _conditional_estimate(spec, n, workers, replicates, _sep_kernel)
+    return _conditional_estimate(
+        spec, n, workers, replicates, lambda diag, z: _pt_separable(diag, z)[1]
+    )
 
 
 def estimate_abs_sep_probability(
@@ -255,7 +262,7 @@ def estimate_abs_sep_probability(
     Uses the spectral criterion l1 - l3 - 2 sqrt(l2 l4) <= 0 on the ordered
     eigenvalues, so each positive sample costs one symmetric eigensolve.
     """
-    return _conditional_estimate(spec, n, workers, replicates, _abs_sep_kernel)
+    return _conditional_estimate(spec, n, workers, replicates, _abs_separable)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +321,7 @@ def _make_desf_kernel(edges: np.ndarray):
     lo, hi = edges[0], edges[-1]
 
     def kernel(spec, offset, size):
-        pts = next_points(spec, size, offset).points
-        diag, z = cube_to_bloore_batch(pts)
-        psd = z_psd_mask(z)
-        xi = xi_from_diag(diag[psd])
-        sep = pt_corr_det4(z[psd], xi) >= 0.0
+        xi, sep = _pt_separable(*_states(spec, offset, size))
         inside = (xi >= lo) & (xi < hi)
         idx = np.searchsorted(edges, xi[inside], side="right") - 1
         h_psd = np.bincount(idx, minlength=nbins).astype(np.int64)
@@ -345,19 +348,13 @@ def estimate_desf(
     wants.  Always single-stream (no replicate pooling): the per-bin counts
     are themselves the statistic.
     """
-    if spec.dimension != 9:
-        raise ValueError("the DESF estimator needs a 9-dimensional sequence spec")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if bins < 2:
         raise ValueError("bins must be >= 2")
     if not (np.isfinite(ximax) and ximax > 0):
         raise ValueError("ximax must be positive and finite")
     edges = np.linspace(-ximax, ximax, bins + 1)
-    kernel = _make_desf_kernel(edges)
-    tasks = [((0, idx), spec, off, size) for idx, off, size in _batch_plan(n)]
-    merged = _run_batches(tasks, kernel, workers)[0]
-    h_psd, h_sep, out_psd, out_sep = merged
+    [tally], _ = _estimate(spec, n, 9, _make_desf_kernel(edges), workers)
+    h_psd, h_sep, out_psd, out_sep = tally
     return DesfHistogram(
         bin_edges=edges,
         n_psd=h_psd,
@@ -470,12 +467,10 @@ def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarr
 
 def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
     def kernel(spec, offset, size):
-        pts = next_points(spec, size, offset).points
-        z = 2.0 * pts - 1.0
-        keep = z_psd_mask(z)
-        zk = z[keep]
-        counts = [int(minor_event_mask(zk, xi, minor).sum()) for xi in xi_grid]
-        return (int(keep.sum()), np.asarray(counts, dtype=np.int64))
+        z = 2.0 * next_points(spec, size, offset) - 1.0
+        z = z[z_psd_mask(z)]
+        counts = [int(minor_event_mask(z, xi, minor).sum()) for xi in xi_grid]
+        return (len(z), np.asarray(counts, dtype=np.int64))
 
     return kernel
 
@@ -512,10 +507,6 @@ def estimate_minor_desf(
     spec; raises :class:`InsufficientSamplesError` if nothing survives the
     positivity conditioning.
     """
-    if spec.dimension != 6:
-        raise ValueError("the minor estimator needs a 6-dimensional sequence spec")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     grid = np.asarray(list(xi_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("xi_grid must be non-empty")
@@ -524,8 +515,7 @@ def estimate_minor_desf(
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("xi_grid must be strictly increasing")
     kernel = _make_minor_kernel(minor, grid)
-    tasks = [((0, idx), spec, off, size) for idx, off, size in _batch_plan(n)]
-    n_psd, counts = _run_batches(tasks, kernel, workers)[0]
+    [(n_psd, counts)], _ = _estimate(spec, n, 6, kernel, workers)
     if n_psd <= 0:
         raise InsufficientSamplesError(
             "no samples satisfied the positivity conditioning; increase n"

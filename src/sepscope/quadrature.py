@@ -31,7 +31,6 @@ __all__ = [
     "integrate_real_line",
     "separability_probability",
     "complex_speculation_probability",
-    "twofold_ratio",
     "BoundRow",
     "bound_table",
     "SPECULATION_REF_EXPR",
@@ -236,14 +235,6 @@ def complex_speculation_probability(tol: float = 1e-6) -> QuadratureResult:
     return QuadratureResult(res.value, res.abs_err_est + inner_tol, res.evals)
 
 
-def twofold_ratio(p: float) -> float:
-    """Bound/estimate induced for minimally degenerate (boundary) states:
-    exactly half the nondegenerate value."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    return 0.5 * p
-
-
 @dataclass(frozen=True)
 class BoundRow:
     """One row of the exact bound table.
@@ -265,7 +256,9 @@ class BoundRow:
 
     @property
     def half(self) -> float:
-        return twofold_ratio(min(max(self.result.value, 0.0), 1.0))
+        """The bound induced for minimally degenerate (boundary) states:
+        exactly half the nondegenerate value, clamped into [0, 1] first."""
+        return 0.5 * min(max(self.result.value, 0.0), 1.0)
 
 
 # Reference expressions for Int S J.  The first group is quoted literature;

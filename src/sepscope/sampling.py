@@ -32,14 +32,10 @@ import numpy as np
 from scipy.special import betaincinv
 from scipy.stats import qmc
 
-from .qstate import BlooreCoords
-
 __all__ = [
     "ENGINES",
     "SequenceSpec",
-    "SampleBatch",
     "next_points",
-    "cube_to_bloore",
     "cube_to_bloore_batch",
     "star_discrepancy",
 ]
@@ -101,16 +97,9 @@ class SequenceSpec:
         )
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """A contiguous block of stream rows starting at ``index_offset``."""
-
-    points: np.ndarray
-    index_offset: int
-
-
-def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> SampleBatch:
-    """Rows ``offset .. offset+n-1`` of the stream defined by ``spec``."""
+def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
+    """Rows ``offset .. offset+n-1`` of the stream defined by ``spec``, as an
+    ``(n, spec.dimension)`` array."""
     if n < 0 or offset < 0:
         raise ValueError("n and offset must be non-negative")
     d = spec.dimension
@@ -134,7 +123,7 @@ def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> SampleBatch:
                 "ignore", message="The balance properties of Sobol"
             )
             pts = eng.random(n)
-    return SampleBatch(points=pts, index_offset=offset)
+    return pts
 
 
 def cube_to_bloore_batch(points: np.ndarray):
@@ -160,12 +149,6 @@ def cube_to_bloore_batch(points: np.ndarray):
     diag[:, 3] = rest * (1.0 - b[:, 2])
     z = 2.0 * pts[:, 3:] - 1.0
     return diag, z
-
-
-def cube_to_bloore(point) -> BlooreCoords:
-    """Single-point convenience wrapper returning validated coordinates."""
-    diag, z = cube_to_bloore_batch(np.asarray(point, dtype=float).reshape(1, 9))
-    return BlooreCoords(diag=diag[0], z=z[0])
 
 
 def star_discrepancy(points: np.ndarray) -> float:

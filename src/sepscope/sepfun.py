@@ -48,11 +48,8 @@ __all__ = [
     "TAGS",
     "EVEN_TAGS",
     "DesfCurve",
-    "JacobianSpec",
     "eval_desf",
     "eval_desf_array",
-    "envelope",
-    "eval_jacobian",
     "jacobian_xi",
     "jacobian_general_beta",
     "JACOBIAN_AT_ZERO",
@@ -73,8 +70,6 @@ TAGS = (
 
 #: Tags whose curves are even functions of xi.
 EVEN_TAGS = frozenset({"dom", "int", "conjecture", "previous", "product_int"})
-
-_ENVELOPE_TAGS = {"envelope(three_right)": "three_right", "envelope(two_right)": "two_right"}
 
 _PI2 = math.pi**2
 
@@ -117,7 +112,7 @@ class DesfCurve:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.tag in TAGS or self.tag in _ENVELOPE_TAGS:
+        if self.tag in TAGS:
             if self.bin_edges is not None or self.values is not None:
                 raise ValueError(f"closed-form tag {self.tag!r} takes no grid data")
             return
@@ -141,18 +136,6 @@ class DesfCurve:
     @property
     def is_even(self) -> bool:
         return self.tag in EVEN_TAGS
-
-
-def envelope(f: DesfCurve) -> DesfCurve:
-    """The curve ``xi -> min(f(xi), f(-xi))``.
-
-    Defined for the ``three_right`` / ``two_right`` families; the envelope of
-    ``three_right`` coincides with ``int`` and the envelope of ``two_right``
-    with ``dom`` (tested, not assumed).
-    """
-    if f.tag not in ("three_right", "two_right"):
-        raise ValueError(f"envelope is defined for three_right/two_right, got {f.tag!r}")
-    return DesfCurve(f"envelope({f.tag})")
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +237,6 @@ def eval_desf_array(curve, xi) -> np.ndarray:
     tag = curve.tag
     if tag == "empirical":
         out = _eval_empirical(curve, x)
-    elif tag in _ENVELOPE_TAGS:
-        base = DesfCurve(_ENVELOPE_TAGS[tag])
-        out = np.minimum(eval_desf_array(base, x), eval_desf_array(base, -x))
     elif tag in EVEN_TAGS:
         ax = np.abs(x)
         if tag == "dom":
@@ -297,27 +277,6 @@ def eval_desf(curve, xi: float) -> float:
 # ---------------------------------------------------------------------------
 # Jacobian density.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JacobianSpec:
-    """Evaluation parameters for the xi-density.
-
-    ``beta`` is the Dyson-like ensemble index: 1 selects the exact real-case
-    formula, any other positive value routes through the numeric
-    fixed-xi slice integration (:func:`jacobian_general_beta`).
-    ``series_cutoff`` is the |xi| radius below which the Maclaurin expansion
-    of the full quotient replaces direct evaluation.
-    """
-
-    beta: float = 1.0
-    series_cutoff: float = 0.05
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.series_cutoff > 0:
-            raise ValueError(f"series_cutoff must be positive, got {self.series_cutoff}")
 
 
 def _numerator_coeffs(m_max: int) -> list[Fraction]:
@@ -429,19 +388,6 @@ def jacobian_xi(xi, series_cutoff: float = 0.05) -> np.ndarray:
     if np.any(~small):
         out[~small] = _jacobian_direct(x[~small])
     return out.reshape(shape)
-
-
-def eval_jacobian(spec: JacobianSpec, xi: float) -> float:
-    """Density of xi under the Hilbert-Schmidt measure.
-
-    beta = 1 uses the closed form (with the Maclaurin splice near zero);
-    other beta values delegate to :func:`jacobian_general_beta`.
-    """
-    if not math.isfinite(xi):
-        raise ValueError(f"xi must be finite, got {xi}")
-    if spec.beta == 1.0:
-        return float(jacobian_xi(np.array([xi]), spec.series_cutoff)[0])
-    return jacobian_general_beta(spec.beta, xi, tol=1e-10)
 
 
 @lru_cache(maxsize=32)

@@ -153,11 +153,11 @@ def _chk_werner(workers):
 @_check("stream-skippability")
 def _chk_skippable(workers):
     for spec in (_prng(101), _lds(101), _lds(101, dimension=6)):
-        whole = sampling.next_points(spec, 1000).points
+        whole = sampling.next_points(spec, 1000)
         parts = np.vstack([
-            sampling.next_points(spec, 137, 0).points,
-            sampling.next_points(spec, 751, 137).points,
-            sampling.next_points(spec, 112, 888).points,
+            sampling.next_points(spec, 137, 0),
+            sampling.next_points(spec, 751, 137),
+            sampling.next_points(spec, 112, 888),
         ])
         if not np.array_equal(whole, parts):
             return False, f"chunked != whole for {spec.engine}"
@@ -167,8 +167,8 @@ def _chk_skippable(workers):
 @_check("low-discrepancy-spread")
 def _chk_star_discrepancy(workers):
     n, d = 64, 3
-    lds = sampling.next_points(_lds(7, dimension=d), n).points
-    prng = sampling.next_points(_prng(7, dimension=d), n).points
+    lds = sampling.next_points(_lds(7, dimension=d), n)
+    prng = sampling.next_points(_prng(7, dimension=d), n)
     d_lds = sampling.star_discrepancy(lds)
     d_prng = sampling.star_discrepancy(prng)
     return d_lds < d_prng, f"star discrepancy {d_lds:.4f} (lds) vs {d_prng:.4f} (prng)"
@@ -176,7 +176,7 @@ def _chk_star_discrepancy(workers):
 
 @_check("diagonal-marginal-moments")
 def _chk_beta_moments(workers):
-    pts = sampling.next_points(_prng(202), 200_000).points
+    pts = sampling.next_points(_prng(202), 200_000)
     diag, _ = sampling.cube_to_bloore_batch(pts)
     x = diag[:, 0]
     n = x.size
@@ -189,7 +189,7 @@ def _chk_beta_moments(workers):
 
 def _xi_histogram_check(seed, n):
     spec = _prng(seed)
-    pts = sampling.next_points(spec, n).points
+    pts = sampling.next_points(spec, n)
     diag, _ = sampling.cube_to_bloore_batch(pts)
     xi = np.log(diag[:, 0] * diag[:, 3] / (diag[:, 1] * diag[:, 2])) * 0.5
     edges = np.linspace(-6.0, 6.0, 61)

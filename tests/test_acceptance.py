@@ -181,7 +181,7 @@ def test_criterion_7_minor_curves():
 
 
 def _psd_sample(seed, n):
-    pts = next_points(_prng(seed), n).points
+    pts = next_points(_prng(seed), n)
     diag, z = cube_to_bloore_batch(pts)
     keep = z_psd_mask(z)
     return diag[keep], z[keep]
@@ -290,7 +290,7 @@ def test_criterion_8_property_suites():
     )
 
     # the sampled xi distribution follows the closed-form density
-    pts = next_points(_prng(9109), 1_000_000).points
+    pts = next_points(_prng(9109), 1_000_000)
     diag_all, _ = cube_to_bloore_batch(pts)
     xi_all = xi_from_diag(diag_all)
     edges = np.linspace(-6.0, 6.0, 61)

@@ -207,6 +207,60 @@ def test_residual_needs_exactly_one_tag(tmp_path):
                  "--tags", "dom,int"]) == 3
 
 
+def _resealed(text, data):
+    """``text``'s first two lines with the digest recomputed for ``data``."""
+    title, man_line = text.split("\n")[:2]
+    manifest = json.loads(man_line[len("# manifest: "):])
+    manifest["output_sha256"] = hashlib.sha256(data.encode("utf-8")).hexdigest()
+    return f"{title}\n# manifest: {cli._canonical(manifest)}\n{data}"
+
+
+@pytest.mark.parametrize("case", ["header_only", "short_row", "cut"])
+def test_residual_rejects_truncated_histogram(tmp_path, capsys, case):
+    """A truncated histogram is a validation error (exit 3), not a crash.
+    The first two cases carry a digest that matches, so the row checks
+    themselves are exercised."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--out", str(hist_path)]) == 0
+    text = hist_path.read_text()
+    lines = text.split("\n")
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("bin_lo,"))
+    if case == "header_only":
+        bad = _resealed(text, "\n".join(lines[2:header + 1]) + "\n")
+        message = "no data rows"
+    elif case == "short_row":
+        lines[header + 3] = ",".join(lines[header + 3].split(",")[:3])
+        bad = _resealed(text, "\n".join(lines[2:]))
+        message = "columns"
+    else:
+        bad = text[: len(text) // 2]
+        message = "digest"
+    hist_path.write_text(bad)
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(hist_path), "--tags", "conjecture"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_residual_rejects_tampered_histogram(tmp_path, capsys):
+    """Changing one stored count, or dropping or garbling the manifest, fails
+    the digest check: the tampered counts are never z-scored."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--out", str(hist_path)]) == 0
+    text = hist_path.read_text()
+    lines = text.split("\n")
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("bin_lo,")) + 6
+    cells = lines[k].split(",")
+    cells[3] = str(int(cells[3]) + 1)  # n_psd of the central bin
+    lines[k] = ",".join(cells)
+    for bad in ("\n".join(lines), "\n".join(lines[:1] + lines[2:]),
+                "\n".join(lines[:1] + ["# manifest: []"] + lines[2:])):
+        hist_path.write_text(bad)
+        capsys.readouterr()
+        code = main(["curves", "--residual", str(hist_path), "--tags", "conjecture"])
+        assert code == 3
+        assert "manifest" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------

@@ -114,6 +114,47 @@ def test_all_separable_when_constraint_is_disabled(monkeypatch):
     assert res.n_effective > 0
 
 
+def _tally(res):
+    return (res.n_effective, round(res.mean * res.n_effective))
+
+
+def test_tallies_are_pinned(monkeypatch):
+    """Exact integer tallies recorded from a known-good build, over several
+    batches.  The invariance tests compare the code only with itself; these
+    literals catch any restructure that changes what is counted."""
+    monkeypatch.setattr(estimator, "BATCH_SIZE", 4096)
+    prng, lds = _prng(2718), _lds(2718)
+    assert _tally(estimate_sep_probability(prng, 10_000, workers=2)) == (1808, 797)
+    assert _tally(estimate_abs_sep_probability(prng, 10_000, workers=2)) == (1808, 62)
+
+    reps = [(907, 428), (943, 418), (913, 416), (917, 411),
+            (933, 404), (922, 417), (898, 421), (931, 428)]
+    for r, want in enumerate(reps):
+        one = estimate_sep_probability(lds.spawn(r), 5000, replicates=1)
+        assert _tally(one) == want, f"replicate {r}"
+    pooled = estimate_sep_probability(lds, 40_000, workers=2)
+    assert pooled.replicate_means == tuple(h / e for e, h in reps)
+    assert pooled.n_effective == sum(e for e, _ in reps)
+
+    desf = {
+        prng: ([9, 20, 44, 83, 140, 202, 253, 278, 252, 203, 149, 86, 35, 28, 11],
+               [1, 1, 11, 21, 55, 93, 140, 163, 137, 89, 40, 28, 12, 4, 2], 15, 0),
+        lds: ([17, 19, 37, 87, 131, 230, 243, 299, 276, 213, 142, 83, 44, 17, 12],
+              [3, 5, 7, 27, 39, 104, 139, 174, 161, 92, 54, 24, 4, 4, 0], 16, 2),
+    }
+    for spec, (n_psd, n_sep, out_psd, out_sep) in desf.items():
+        hist = estimate_desf(spec, 10_000, bins=15, ximax=2.0, workers=2)
+        assert hist.n_psd.tolist() == n_psd and hist.n_sep.tolist() == n_sep
+        assert (hist.n_psd_outside, hist.n_sep_outside) == (out_psd, out_sep)
+
+    minor = estimate_minor_desf(
+        _prng(2718, dimension=6), 10_000, MinorSelector.parse("delete:1"),
+        [-1.0, -0.5, 0.0, 0.5, 1.0], workers=2,
+    )
+    assert minor.n_psd.tolist() == [1841] * 5
+    assert minor.n_sep.tolist() == [1748, 1717, 1593, 1186, 780]
+
+
 def test_absolute_separability_is_rarer():
     sep = estimate_sep_probability(_prng(65), 60_000)
     ab = estimate_abs_sep_probability(_prng(65), 60_000)

@@ -15,7 +15,6 @@ from sepscope.quadrature import (
     complex_speculation_probability,
     integrate_real_line,
     separability_probability,
-    twofold_ratio,
 )
 from sepscope.sepfun import DesfCurve, jacobian_xi
 
@@ -143,16 +142,6 @@ def test_empirical_curve_integration_is_exact():
     assert res.value == pytest.approx(0.75 * mass, abs=1e-12)
 
 
-def test_twofold_ratio():
-    assert twofold_ratio(0.0) == 0.0
-    assert twofold_ratio(1.0) == 0.5
-    assert twofold_ratio(0.4528427) == pytest.approx(0.22642135, abs=1e-12)
-    with pytest.raises(ValueError):
-        twofold_ratio(-0.1)
-    with pytest.raises(ValueError):
-        twofold_ratio(1.1)
-
-
 # ---------------------------------------------------------------------------
 # Bound table
 # ---------------------------------------------------------------------------
@@ -171,7 +160,7 @@ def test_bound_table_hits_references():
             assert row.diff < 1e-5  # reference is quoted to six digits
         else:
             assert row.diff < 1e-8
-        assert row.half == twofold_ratio(min(max(row.result.value, 0.0), 1.0))
+        assert row.half == 0.5 * row.result.value  # values lie in [0, 1]
 
 
 def test_bound_table_row_properties():

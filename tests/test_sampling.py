@@ -6,9 +6,7 @@ import pytest
 from sepscope.qstate import BlooreCoords
 from sepscope.sampling import (
     ENGINES,
-    SampleBatch,
     SequenceSpec,
-    cube_to_bloore,
     cube_to_bloore_batch,
     next_points,
     star_discrepancy,
@@ -64,8 +62,8 @@ def test_spawn_creates_distinct_deterministic_children():
 def test_same_spec_same_points():
     for engine in ENGINES:
         spec = SequenceSpec(engine, 9)
-        a = next_points(spec, 200).points
-        b = next_points(spec, 200).points
+        a = next_points(spec, 200)
+        b = next_points(spec, 200)
         assert np.array_equal(a, b)
 
 
@@ -75,28 +73,28 @@ def test_chunked_reads_reassemble_both_engines():
     mid-block (offset * dimension not divisible by the block size)."""
     for engine in ENGINES:
         spec = SequenceSpec(engine, 3)
-        whole = next_points(spec, 1000).points
+        whole = next_points(spec, 1000)
         parts = np.vstack([
-            next_points(spec, 137, 0).points,
-            next_points(spec, 466, 137).points,
-            next_points(spec, 285, 603).points,
-            next_points(spec, 112, 888).points,
+            next_points(spec, 137, 0),
+            next_points(spec, 466, 137),
+            next_points(spec, 285, 603),
+            next_points(spec, 112, 888),
         ])
         assert np.array_equal(whole, parts)
 
 
 def test_single_row_reads_match_bulk():
     spec = SequenceSpec("pseudo_random", 123, dimension=5)
-    whole = next_points(spec, 8).points
+    whole = next_points(spec, 8)
     for k in range(8):
-        row = next_points(spec, 1, k).points[0]
+        row = next_points(spec, 1, k)[0]
         assert np.array_equal(row, whole[k])
 
 
 def test_pseudo_random_matches_vanilla_generator():
     # with no offset the stream is exactly numpy's Philox generator output
     spec = SequenceSpec("pseudo_random", 77)
-    pts = next_points(spec, 50).points
+    pts = next_points(spec, 50)
     ref = np.random.Generator(np.random.Philox(key=77)).random((50, 9))
     assert np.array_equal(pts, ref)
 
@@ -108,22 +106,21 @@ def test_next_points_validation_and_batch_fields():
     with pytest.raises(ValueError):
         next_points(spec, 10, -2)
     batch = next_points(spec, 10, 5)
-    assert isinstance(batch, SampleBatch)
-    assert batch.index_offset == 5
-    assert batch.points.shape == (10, 9)
-    assert np.all((batch.points >= 0.0) & (batch.points < 1.0))
+    assert batch.shape == (10, 9)
+    assert np.all((batch >= 0.0) & (batch < 1.0))
+    assert np.array_equal(batch, next_points(spec, 15)[5:])
 
 
 def test_unscrambled_sobol_prefix():
     spec = SequenceSpec("low_discrepancy", 0, dimension=2, scramble=False)
-    pts = next_points(spec, 2).points
+    pts = next_points(spec, 2)
     assert np.array_equal(pts[0], [0.0, 0.0])
     assert np.array_equal(pts[1], [0.5, 0.5])
 
 
 def test_scramble_seed_changes_low_discrepancy_stream():
-    a = next_points(SequenceSpec("low_discrepancy", 1), 64).points
-    b = next_points(SequenceSpec("low_discrepancy", 2), 64).points
+    a = next_points(SequenceSpec("low_discrepancy", 1), 64)
+    b = next_points(SequenceSpec("low_discrepancy", 2), 64)
     assert not np.array_equal(a, b)
 
 
@@ -133,7 +130,7 @@ def test_scramble_seed_changes_low_discrepancy_stream():
 
 
 def test_cube_map_produces_valid_coordinates():
-    pts = next_points(SequenceSpec("pseudo_random", 5), 10_000).points
+    pts = next_points(SequenceSpec("pseudo_random", 5), 10_000)
     diag, z = cube_to_bloore_batch(pts)
     assert diag.shape == (10_000, 4) and z.shape == (10_000, 6)
     assert np.max(np.abs(diag.sum(axis=1) - 1.0)) < 1e-12
@@ -158,8 +155,8 @@ def test_cube_corners_stay_nondegenerate():
 
 
 def test_cube_to_bloore_single_point():
-    c = cube_to_bloore(np.full(9, 0.5))
-    assert isinstance(c, BlooreCoords)
+    diag, z = cube_to_bloore_batch(np.full((1, 9), 0.5))
+    c = BlooreCoords(diag=diag[0], z=z[0])  # validates the coordinates
     assert np.array_equal(c.z, np.zeros(6))  # 0.5 maps to the center
     assert abs(c.diag.sum() - 1.0) < 1e-12
 
@@ -167,7 +164,7 @@ def test_cube_to_bloore_single_point():
 def test_diagonal_marginal_moments():
     """Each diagonal entry is Beta(5/2, 15/2): mean 1/4, second moment 7/88.
     Frozen seed; comparisons at four standard errors."""
-    pts = next_points(SequenceSpec("pseudo_random", 314), 1_000_000).points
+    pts = next_points(SequenceSpec("pseudo_random", 314), 1_000_000)
     diag, _ = cube_to_bloore_batch(pts)
     n = len(diag)
     for col in range(4):
@@ -208,6 +205,6 @@ def test_star_discrepancy_validation():
 
 def test_low_discrepancy_beats_pseudo_random_spread():
     n, d = 64, 3
-    lds = next_points(SequenceSpec("low_discrepancy", 7, dimension=d), n).points
-    prng = next_points(SequenceSpec("pseudo_random", 7, dimension=d), n).points
+    lds = next_points(SequenceSpec("low_discrepancy", 7, dimension=d), n)
+    prng = next_points(SequenceSpec("pseudo_random", 7, dimension=d), n)
     assert star_discrepancy(lds) < star_discrepancy(prng)

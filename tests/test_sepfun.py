@@ -12,12 +12,9 @@ from sepscope.sepfun import (
     JACOBIAN_AT_ZERO,
     TAGS,
     DesfCurve,
-    JacobianSpec,
     curve_at_zero,
-    envelope,
     eval_desf,
     eval_desf_array,
-    eval_jacobian,
     jacobian_general_beta,
     jacobian_xi,
 )
@@ -43,13 +40,6 @@ def test_curve_validation():
         DesfCurve.empirical([0.0, 1.0], [0.3, 0.4])  # wrong value count
     with pytest.raises(ValueError):
         DesfCurve.empirical([0.5], [])  # too few edges
-
-
-def test_envelope_validation():
-    envelope(DesfCurve("three_right"))
-    envelope(DesfCurve("two_right"))
-    with pytest.raises(ValueError):
-        envelope(DesfCurve("dom"))
 
 
 def test_scalar_and_array_paths_agree():
@@ -138,10 +128,12 @@ def test_two_left_is_one_on_the_right_half_line():
 
 
 def test_envelope_identities():
-    """min(f(x), f(-x)) of the one-sided curves reproduces the even curves
-    bin-for-bin (same code path, so equality is exact)."""
-    env3 = eval_desf_array(envelope(DesfCurve("three_right")), _GRID)
-    env2 = eval_desf_array(envelope(DesfCurve("two_right")), _GRID)
+    """The envelope min(f(x), f(-x)) of each one-sided curve reproduces an
+    even curve exactly: three_right gives int, two_right gives dom."""
+    env3 = np.minimum(eval_desf_array("three_right", _GRID),
+                      eval_desf_array("three_right", -_GRID))
+    env2 = np.minimum(eval_desf_array("two_right", _GRID),
+                      eval_desf_array("two_right", -_GRID))
     assert np.array_equal(env3, eval_desf_array("int", _GRID))
     assert np.array_equal(env2, eval_desf_array("dom", _GRID))
 
@@ -227,23 +219,6 @@ def test_density_extreme_tail_underflows_cleanly():
     v = jacobian_xi(np.array([200.0, 500.0]))
     assert v[0] >= 0.0 and v[1] == 0.0  # graceful underflow, no nan/inf
     assert np.all(np.isfinite(v))
-
-
-def test_jacobian_spec_validation():
-    JacobianSpec()
-    with pytest.raises(ValueError):
-        JacobianSpec(beta=0.0)
-    with pytest.raises(ValueError):
-        JacobianSpec(series_cutoff=0.0)
-    with pytest.raises(ValueError):
-        eval_jacobian(JacobianSpec(), float("inf"))
-
-
-def test_eval_jacobian_routes_by_beta():
-    assert eval_jacobian(JacobianSpec(beta=1.0), 0.7) == float(jacobian_xi(0.7))
-    got = eval_jacobian(JacobianSpec(beta=2.0), 0.7)
-    ref = jacobian_general_beta(2.0, 0.7, tol=1e-12)
-    assert got == pytest.approx(ref, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
