@@ -47,7 +47,7 @@ from .estimator import (
 from .quadrature import (
     SPECULATION_REF_EXPR,
     SPECULATION_REF_VALUE,
-    BoundRow,
+    bound_row,
     bound_table,
     complex_speculation_probability,
 )
@@ -166,11 +166,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_bounds(args) -> int:
     rows = bound_table(tol=args.tol)
-    rows.append(BoundRow(
-        tag="conjecture_sq_beta2",
-        ref_expr=SPECULATION_REF_EXPR,
-        ref_value=SPECULATION_REF_VALUE,
-        result=complex_speculation_probability(tol=max(args.tol, 1e-10)),
+    rows.append(bound_row(
+        "conjecture_sq_beta2", SPECULATION_REF_EXPR, SPECULATION_REF_VALUE,
+        complex_speculation_probability, max(args.tol, 1e-10),
     ))
     header = (
         "tag", "ref_expr", "ref_value", "value",
@@ -448,13 +446,12 @@ def _cmd_curves_residual(args) -> int:
 def _cmd_verify(args) -> int:
     workers = _workers(args)
     t0 = time.perf_counter()
-    lines = []
 
-    def echo(line):
-        print(line)
-        lines.append(line)
+    def report(result):
+        print(result.line, flush=True)
+        print(f"{result.name}: {result.seconds:.2f} s", file=sys.stderr)
 
-    results = run_checks(args.level, workers=workers, echo=echo)
+    results = run_checks(args.level, workers=workers, report=report)
     dt = time.perf_counter() - t0
     failed = [r for r in results if not r.passed]
     print(
@@ -463,7 +460,7 @@ def _cmd_verify(args) -> int:
         file=sys.stderr,
     )
     if args.out:
-        _write_out(args.out, "\n".join(lines) + "\n")
+        _write_out(args.out, "\n".join(r.line for r in results) + "\n")
     return _EXIT_VERIFY if failed else _EXIT_OK
 
 

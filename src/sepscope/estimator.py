@@ -50,6 +50,7 @@ __all__ = [
     "EstimateResult",
     "DesfHistogram",
     "MinorSelector",
+    "MinorGridEstimate",
     "MINOR_BRANCH_TABLE",
     "minor_event_mask",
     "estimate_sep_probability",
@@ -475,14 +476,26 @@ def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
     return kernel
 
 
-def _grid_edges(grid: np.ndarray) -> np.ndarray:
-    """Bin edges bracketing each grid point (midpoints between neighbors)."""
-    if grid.size == 1:
-        return np.array([grid[0] - 0.5, grid[0] + 0.5])
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    first = grid[0] - (mids[0] - grid[0])
-    last = grid[-1] + (grid[-1] - mids[-1])
-    return np.concatenate(([first], mids, [last]))
+@dataclass(frozen=True)
+class MinorGridEstimate:
+    """P(minor >= 0 | positive) at each point of an xi grid.
+
+    Every grid point reuses one conditioning sample: ``n_psd`` positive
+    states, of which ``n_event[k]`` satisfy the minor at ``xi[k]``.
+    """
+
+    xi: np.ndarray
+    n_psd: int
+    n_event: np.ndarray
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.n_event / self.n_psd
+
+    @property
+    def stderr(self) -> np.ndarray:
+        r = self.ratio
+        return np.sqrt(r * (1.0 - r) / self.n_psd)
 
 
 def estimate_minor_desf(
@@ -492,7 +505,7 @@ def estimate_minor_desf(
     xi_grid,
     *,
     workers: int = 1,
-) -> DesfHistogram:
+) -> MinorGridEstimate:
     """P(selected minor >= 0 | full matrix positive) at each xi in the grid.
 
     Samples correlations uniformly on the cube, conditions once on full
@@ -501,11 +514,10 @@ def estimate_minor_desf(
     sample at every grid point.  Estimates are therefore correlated across
     the grid but individually exact conditional binomials.
 
-    The result is packaged as a histogram whose bins bracket the grid points
-    (every bin shares the same ``n_psd``); ``ratio[k]`` and ``stderr[k]``
-    are the estimate at ``xi_grid[k]``.  Requires a 6-dimensional sequence
-    spec; raises :class:`InsufficientSamplesError` if nothing survives the
-    positivity conditioning.
+    ``ratio[k]`` and ``stderr[k]`` of the result are the estimate at
+    ``xi_grid[k]``.  Requires a 6-dimensional sequence spec; raises
+    :class:`InsufficientSamplesError` if nothing survives the positivity
+    conditioning.
     """
     grid = np.asarray(list(xi_grid), dtype=float)
     if grid.size == 0:
@@ -520,14 +532,7 @@ def estimate_minor_desf(
         raise InsufficientSamplesError(
             "no samples satisfied the positivity conditioning; increase n"
         )
-    return DesfHistogram(
-        bin_edges=_grid_edges(grid),
-        n_psd=np.full(grid.size, n_psd, dtype=np.int64),
-        n_sep=np.asarray(counts, dtype=np.int64),
-        n_psd_outside=0,
-        n_sep_outside=0,
-        n_total=n,
-    )
+    return MinorGridEstimate(xi=grid, n_psd=n_psd, n_event=counts)
 
 
 # ---------------------------------------------------------------------------

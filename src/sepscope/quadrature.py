@@ -32,6 +32,7 @@ __all__ = [
     "separability_probability",
     "complex_speculation_probability",
     "BoundRow",
+    "bound_row",
     "bound_table",
     "SPECULATION_REF_EXPR",
     "SPECULATION_REF_VALUE",
@@ -280,22 +281,20 @@ _BOUND_REFS = {
 }
 
 
-def bound_table(tol: float = 1e-10) -> list[BoundRow]:
-    """Quadrature of every closed-form tag against its reference value.
+def bound_row(tag: str, ref_expr: str, ref_value: float, integrate, *args) -> BoundRow:
+    """The row for ``integrate(*args)``.  When the quadrature cannot reach
+    its tolerance the row carries the best estimate and ``converged=False``
+    rather than aborting the table."""
+    try:
+        return BoundRow(tag, ref_expr, ref_value, integrate(*args))
+    except QuadratureError as exc:
+        return BoundRow(tag, ref_expr, ref_value, exc.result, converged=False)
 
-    Rows appear in the fixed tag order.  A row whose integration cannot
-    reach ``tol`` is reported with its best estimate and ``converged=False``
-    rather than aborting the table.
-    """
-    rows = []
-    for tag, (expr, ref) in _BOUND_REFS.items():
-        try:
-            res = separability_probability(DesfCurve(tag), tol)
-            ok = True
-        except QuadratureError as exc:
-            res = exc.result
-            ok = False
-        rows.append(
-            BoundRow(tag=tag, ref_expr=expr, ref_value=ref, result=res, converged=ok)
-        )
-    return rows
+
+def bound_table(tol: float = 1e-10) -> list[BoundRow]:
+    """Quadrature of every closed-form tag against its reference value,
+    one :func:`bound_row` per tag in the fixed tag order."""
+    return [
+        bound_row(tag, expr, ref, separability_probability, DesfCurve(tag), tol)
+        for tag, (expr, ref) in _BOUND_REFS.items()
+    ]

@@ -1,340 +1,24 @@
-"""Acceptance suite: one test per release criterion, one [PASS]/[FAIL] line each.
+"""Acceptance suite: one test per quick row of ``sepscope.verify.CHECKS``.
 
-Run ``pytest -rP tests/test_acceptance.py`` to see the measured values for
-passing criteria too.
-
-Sample-hungry criteria (4-7) default to a reduced budget so the suite stays
-CI-friendly; set ``SEPSCOPE_FULL_ACCEPT=1`` to run them at the full sizes
-quoted in the criterion lines.  ``SEPSCOPE_WORKERS`` sets estimator threading
-(it never changes any estimate).  All seeds are frozen, so every mode is
-deterministic.
+Every criterion, with its seed, sample budget, reference value and bound,
+lives in that registry; this file only runs it.  ``pytest -rP`` shows each
+row's measured values, and ``sepscope verify --level full`` runs the full
+rows as well.  ``SEPSCOPE_WORKERS`` sets estimator threading, which never
+changes a result.
 """
 
-import math
 import os
 
-import numpy as np
-from scipy.integrate import quad
+import pytest
 
-from sepscope.cli import main as cli_main
-from sepscope.estimator import (
-    MinorSelector,
-    binomial_two_sided_pvalue,
-    estimate_abs_sep_probability,
-    estimate_desf,
-    estimate_minor_desf,
-    estimate_sep_probability,
-)
-from sepscope.qstate import (
-    BlooreCoords,
-    corr_det3,
-    from_bloore,
-    partial_transpose,
-    pt_corr_det4,
-    xi_from_diag,
-    z_psd_mask,
-)
-from sepscope.quadrature import (
-    bound_table,
-    complex_speculation_probability,
-    integrate_real_line,
-)
-from sepscope.sampling import SequenceSpec, cube_to_bloore_batch, next_points
-from sepscope.sepfun import (
-    EVEN_TAGS,
-    eval_desf,
-    eval_desf_array,
-    jacobian_general_beta,
-    jacobian_xi,
-)
+from sepscope.verify import CHECKS
 
-FULL = os.environ.get("SEPSCOPE_FULL_ACCEPT", "") == "1"
 WORKERS = int(os.environ.get("SEPSCOPE_WORKERS", "1"))
+QUICK = [check for check in CHECKS if check.level == "quick"]
 
 
-def _mode(n):
-    return f"n={n:.0e}" + ("" if FULL else " [reduced; SEPSCOPE_FULL_ACCEPT=1 for full]")
-
-
-def _report(num, ok, detail):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}")
-    assert ok, f"criterion {num}: {detail}"
-
-
-def _prng(seed, dimension=9):
-    return SequenceSpec("pseudo_random", seed, dimension=dimension)
-
-
-def test_criterion_1_density_normalization():
-    res = integrate_real_line(jacobian_xi, 1e-12)
-    diff = abs(res.value - 1.0)
-    _report(1, diff <= 1e-9,
-            f"integral of the xi-density = {res.value:.12f} "
-            f"(|diff from 1| = {diff:.2e} <= 1e-9)")
-
-
-def test_criterion_2_exact_bound_table():
-    rows = {r.tag: r for r in bound_table(tol=1e-10)}
-    refs = {
-        "dom": 1024.0 / (135.0 * math.pi**2),
-        "int": 22.0 / 35.0,
-        "conjecture": 29.0 / 64.0,
-        "previous": 8.0 / 17.0,
-    }
-    halves = {
-        "dom": 512.0 / (135.0 * math.pi**2),
-        "int": 11.0 / 35.0,
-        "conjecture": 29.0 / 128.0,
-    }
-    worst = max(abs(rows[t].result.value - v) for t, v in refs.items())
-    worst_half = max(abs(rows[t].half - v) for t, v in halves.items())
-    prod_diff = abs(rows["product_int"].result.value - 0.576219)
-    ok = worst <= 1e-8 and prod_diff <= 1e-5 and worst_half <= 1e-8
-    _report(2, ok,
-            f"closed-form probabilities: worst |diff| = {worst:.2e} <= 1e-8, "
-            f"product-curve |diff| = {prod_diff:.2e} <= 1e-5, "
-            f"twofold column worst |diff| = {worst_half:.2e} <= 1e-8")
-
-
-def test_criterion_3_general_beta():
-    ref = 30660525.0 * math.pi**4 / 11811160064.0
-    res = complex_speculation_probability(tol=1e-6)
-    diff = abs(res.value - ref)
-    pointwise = max(
-        abs(float(jacobian_general_beta(1.0, xi, tol=1e-10)) - jacobian_xi(xi))
-        for xi in (0.25, 1.0, 2.5)
-    )
-    ok = diff <= 1e-5 and pointwise <= 1e-8
-    _report(3, ok,
-            f"squared-curve value in the beta=2 ensemble = {res.value:.8f} "
-            f"(|diff| = {diff:.2e} <= 1e-5); beta=1 quadrature vs closed-form "
-            f"density worst |diff| = {pointwise:.2e} <= 1e-8")
-
-
-def test_criterion_4_separability_probability():
-    n = 10_000_000 if FULL else 1_000_000
-    res = estimate_sep_probability(_prng(9104), n, workers=WORKERS)
-    ok = 0.4455 < res.mean < 0.4605
-    _report(4, ok,
-            f"separable fraction = {res.mean:.6f} +- {res.stderr:.6f} "
-            f"in (0.4455, 0.4605), n_eff = {res.n_effective} ({_mode(n)})")
-
-
-def test_criterion_5_absolute_separability():
-    n = 10_000_000 if FULL else 1_000_000
-    ref = (6928.0 - 2205.0 * math.pi) / 2.0**4.5
-    res = estimate_abs_sep_probability(_prng(9105), n, workers=WORKERS)
-    z = (res.mean - ref) / res.stderr
-    _report(5, abs(z) <= 5.0,
-            f"absolutely separable fraction = {res.mean:.6f} vs {ref:.6f} "
-            f"(z = {z:+.2f}, |z| <= 5, {_mode(n)})")
-
-
-def test_criterion_6_desf_intercept():
-    n = 100_000_000 if FULL else 10_000_000
-    ref = 135.0 * math.pi**2 / 2176.0
-    hist = estimate_desf(_prng(9106), n, bins=601, ximax=4.0, workers=WORKERS)
-    i = hist.bin_index(0.0)
-    se = hist.stderr[i]
-    z = (hist.ratio[i] - ref) / se
-    _report(6, abs(z) <= 3.0,
-            f"central-bin separable fraction = {hist.ratio[i]:.6f} vs "
-            f"{ref:.6f} (z = {z:+.2f}, |z| <= 3, bin count = {hist.n_psd[i]}, "
-            f"{_mode(n)})")
-
-
-def test_criterion_7_minor_curves():
-    n = 10_000_000 if FULL else 1_000_000
-    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    minors = ("delete:1", "delete:2", "delete:3", "delete:4",
-              "pair:2,3", "pair:1,4")
-    hists = {}
-    worst_z, worst_at = 0.0, ""
-    for k, text in enumerate(minors):
-        minor = MinorSelector.parse(text)
-        hist = estimate_minor_desf(
-            _prng(9110 + k, dimension=6), n, minor, grid, workers=WORKERS
-        )
-        hists[text] = hist
-        for i, xi in enumerate(grid):
-            ref = eval_desf(minor.branch_tag, xi)
-            if hist.stderr[i] == 0.0:
-                assert hist.ratio[i] == ref  # certain side of a 2x2 minor
-                continue
-            z = abs(hist.ratio[i] - ref) / hist.stderr[i]
-            if z > worst_z:
-                worst_z, worst_at = z, f"{text} at xi={xi:+.1f}"
-    # the 3x3 minors pair up: independent streams, one law per pair
-    worst_pair_z = 0.0
-    for a, b in (("delete:1", "delete:4"), ("delete:2", "delete:3")):
-        ha, hb = hists[a], hists[b]
-        z = np.max(
-            np.abs(ha.ratio - hb.ratio)
-            / np.hypot(ha.stderr, hb.stderr)
-        )
-        worst_pair_z = max(worst_pair_z, float(z))
-    ok = worst_z <= 3.0 and worst_pair_z <= 3.0
-    _report(7, ok,
-            f"minor probabilities vs closed forms: worst z = {worst_z:.2f} "
-            f"({worst_at}, |z| <= 3); paired 3x3 minors two-sample "
-            f"worst z = {worst_pair_z:.2f} <= 3 ({_mode(n)})")
-
-
-def _psd_sample(seed, n):
-    pts = next_points(_prng(seed), n)
-    diag, z = cube_to_bloore_batch(pts)
-    keep = z_psd_mask(z)
-    return diag[keep], z[keep]
-
-
-def test_criterion_8_property_suites():
-    notes = []
-    ok = True
-
-    # partial transposition is an involution, bit for bit
-    diag, z = _psd_sample(9107, 2000)
-    for k in range(300):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        again = partial_transpose(partial_transpose(rho))
-        if not np.array_equal(again.matrix, rho.matrix):
-            ok = False
-            notes.append("involution BROKEN")
-            break
-    else:
-        notes.append("involution exact on 300 states")
-
-    # separable => all 3x3 PT minors >= 0 => all 2x2 PT minors >= 0
-    diag, z = _psd_sample(9108, 5_600_000)  # ~18% of draws are states
-    diag, z = diag[:1_000_000], z[:1_000_000]
-    assert len(z) == 1_000_000
-    xi = xi_from_diag(diag)
-    e = np.exp(xi)
-    s12, s13, s14 = z[:, 0], z[:, 1], z[:, 3] / e
-    s23, s24, s34 = z[:, 2] * e, z[:, 4], z[:, 5]
-    sep = pt_corr_det4(z, xi) >= 0.0
-    tol = -1e-10
-    minors3 = (
-        (corr_det3(s23, s24, s34) >= tol)
-        & (corr_det3(s13, s14, s34) >= tol)
-        & (corr_det3(s12, s14, s24) >= tol)
-        & (corr_det3(s12, s13, s23) >= tol)
-    )
-    minors2 = np.ones(len(z), dtype=bool)
-    for s in (s12, s13, s14, s23, s24, s34):
-        minors2 &= 1.0 - s * s >= tol
-    chain = int(np.sum(sep & ~minors3) + np.sum(minors3 & ~minors2))
-    if chain:
-        ok = False
-    notes.append(f"implication chain {chain} violations on {len(z)} states")
-
-    # the separability verdict depends on the diagonal only through xi
-    rng_z = z[:10_000]
-    rng_xi = np.linspace(-2.0, 2.0, len(rng_z))
-    ee = np.exp(rng_xi)
-    b = 1.0 / (2.0 * (1.0 + ee))
-    diag_a = np.column_stack([ee * b, b, b, ee * b])
-    e2 = np.exp(2.0 * rng_xi)
-    diag_b = np.column_stack([e2, np.ones_like(e2), np.ones_like(e2),
-                              np.ones_like(e2)]) / (3.0 + e2)[:, None]
-    det_a = pt_corr_det4(rng_z, xi_from_diag(diag_a))
-    det_b = pt_corr_det4(rng_z, xi_from_diag(diag_b))
-    clear = (np.abs(det_a) > 1e-12) & (np.abs(det_b) > 1e-12)
-    mismatch = int(np.sum((det_a[clear] >= 0) != (det_b[clear] >= 0)))
-    if mismatch or clear.sum() < 9000:
-        ok = False
-    notes.append(
-        f"xi-sufficiency {mismatch} mismatches on {int(clear.sum())} "
-        "paired diagonals"
-    )
-
-    # evenness and the established pointwise ordering of the curves
-    xs = np.linspace(-10.0, 10.0, 1001)
-    even_worst = max(
-        float(np.max(np.abs(eval_desf_array(t, xs) - eval_desf_array(t, -xs))))
-        for t in EVEN_TAGS
-    )
-    dom = eval_desf_array("dom", xs)
-    mid = eval_desf_array("int", xs)
-    order_ok = (
-        np.all(eval_desf_array("conjecture", xs) <= mid + 1e-13)
-        and np.all(eval_desf_array("product_int", xs) <= mid + 1e-13)
-        and np.all(mid <= dom + 1e-13)
-    )
-    if even_worst > 1e-13 or not order_ok:
-        ok = False
-    notes.append(
-        f"evenness worst |f(x)-f(-x)| = {even_worst:.1e}, "
-        f"ordering {'holds' if order_ok else 'BROKEN'}"
-    )
-
-    # determinant sign of the scaled PT agrees with its spectrum
-    pt = np.zeros((len(z), 4, 4))
-    idx = np.arange(4)
-    pt[:, idx, idx] = 1.0
-    pairs = ((0, 1, s12), (0, 2, s13), (0, 3, s14),
-             (1, 2, s23), (1, 3, s24), (2, 3, s34))
-    for i, j, s in pairs:
-        pt[:, i, j] = s
-        pt[:, j, i] = s
-    ev_min = np.linalg.eigvalsh(pt)[:, 0]
-    det4 = pt_corr_det4(z, xi)
-    informative = np.abs(det4) > 1e-10
-    sign_mismatch = int(np.sum(
-        (det4[informative] >= 0) != (ev_min[informative] >= -1e-12)
-    ))
-    if sign_mismatch:
-        ok = False
-    notes.append(
-        f"det-sign vs spectrum {sign_mismatch} mismatches on "
-        f"{int(informative.sum())} states"
-    )
-
-    # the sampled xi distribution follows the closed-form density
-    pts = next_points(_prng(9109), 1_000_000)
-    diag_all, _ = cube_to_bloore_batch(pts)
-    xi_all = xi_from_diag(diag_all)
-    edges = np.linspace(-6.0, 6.0, 61)
-    counts = np.histogram(xi_all, bins=edges)[0]
-    n_tot = len(xi_all)
-    probs = np.array([
-        quad(jacobian_xi, a, b, epsabs=1e-13, epsrel=1e-12)[0]
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
-    worst_bin_z = 0.0
-    hist_ok = True
-    for k, p in zip(counts, probs):
-        expected = n_tot * p
-        if expected >= 10.0:
-            zval = abs(k - expected) / math.sqrt(expected * (1.0 - p))
-            worst_bin_z = max(worst_bin_z, zval)
-        elif binomial_two_sided_pvalue(int(k), n_tot, p) < 6.3e-5:
-            hist_ok = False
-    outside = n_tot - counts.sum()
-    p_out = max(1.0 - probs.sum(), 0.0)
-    if binomial_two_sided_pvalue(int(outside), n_tot, p_out) < 6.3e-5:
-        hist_ok = False
-    if worst_bin_z > 4.0 or not hist_ok:
-        ok = False
-    notes.append(f"xi-histogram worst bin z = {worst_bin_z:.2f} <= 4")
-
-    _report(8, ok, "; ".join(notes))
-
-
-def test_criterion_9_worker_determinism(tmp_path):
-    n = str(3 * (1 << 20) + 17)  # spans four batches
-    digests = {}
-    for sub, extra in (("estimate", ["--n", n]),
-                       ("desf", ["--n", n, "--bins", "61"])):
-        outs = []
-        for w in (1, 2, 8):
-            out = tmp_path / f"{sub}_w{w}.out"
-            code = cli_main([sub, *extra, "--seed", "777",
-                             "--workers", str(w), "--out", str(out)])
-            assert code == 0
-            outs.append(out.read_bytes())
-        digests[sub] = outs[0] == outs[1] == outs[2]
-    ok = all(digests.values())
-    _report(9, ok,
-            f"byte-identical outputs across 1/2/8 workers at n={n}: "
-            f"estimate={'yes' if digests['estimate'] else 'NO'}, "
-            f"histogram={'yes' if digests['desf'] else 'NO'}")
+@pytest.mark.parametrize("check", QUICK, ids=[check.name for check in QUICK])
+def test_quick_row(check):
+    passed, detail = check.fn(WORKERS, **check.params)
+    print(f"[{'PASS' if passed else 'FAIL'}] {check.name}: {detail}")
+    assert passed, detail

@@ -8,14 +8,18 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import sepscope.cli as cli
 import sepscope.estimator as estimator
+import sepscope.verify as verify
 from sepscope.cli import _load_desf_csv, main
+from sepscope.errors import QuadratureError
 from sepscope.estimator import estimate_desf, estimate_sep_probability
+from sepscope.quadrature import QuadratureResult
 from sepscope.sampling import SequenceSpec
 from sepscope.sepfun import curve_at_zero, jacobian_xi
 
@@ -82,6 +86,22 @@ def test_bounds_json_digest(tmp_path):
     assert data["rows"][1]["ref_value"] == pytest.approx(22 / 35)
 
 
+def test_bounds_reports_unconverged_beta2_row(tmp_path, monkeypatch):
+    """A beta=2 quadrature that misses its tolerance is a row with its best
+    estimate and converged=false, not an aborted table."""
+
+    def gives_up(tol):
+        raise QuadratureError("budget spent", result=QuadratureResult(0.25, 1e-3, 30))
+
+    monkeypatch.setattr(cli, "complex_speculation_probability", gives_up)
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--tol", "1e-6", "--out", str(out)]) == 0
+    _, _, rows = _read_csv_payload(out.read_text())
+    assert [r["converged"] for r in rows] == ["true"] * 9 + ["false"]
+    assert rows[-1]["tag"] == "conjecture_sq_beta2"
+    assert (rows[-1]["value"], rows[-1]["evals"]) == ("0.25", "30")
+
+
 def test_repeat_invocations_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["bounds", "--tol", "1e-6", "--out", str(a)]) == 0
@@ -139,6 +159,26 @@ def test_worker_count_is_invisible_in_output(tmp_path, monkeypatch):
     assert main(["estimate", "--n", "20000", "--seed", "9", "--workers", "4",
                  "--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_multi_batch_outputs_are_byte_identical_across_workers(tmp_path):
+    n = str(3 * (1 << 20) + 17)  # spans four batches
+    digests = {}
+    for sub, extra in (("estimate", ["--n", n]),
+                       ("desf", ["--n", n, "--bins", "61"])):
+        outs = []
+        for w in (1, 2, 8):
+            out = tmp_path / f"{sub}_w{w}.out"
+            code = main([sub, *extra, "--seed", "777",
+                         "--workers", str(w), "--out", str(out)])
+            assert code == 0
+            outs.append(out.read_bytes())
+        digests[sub] = outs[0] == outs[1] == outs[2]
+    assert all(digests.values()), (
+        f"byte-identical outputs across 1/2/8 workers at n={n}: "
+        f"estimate={'yes' if digests['estimate'] else 'NO'}, "
+        f"histogram={'yes' if digests['desf'] else 'NO'}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,31 +386,36 @@ def test_missing_subcommand_is_a_usage_error():
 # ---------------------------------------------------------------------------
 
 
-class _Check:
-    def __init__(self, passed):
-        self.passed = passed
+def _stub_checks(monkeypatch, *outcomes):
+    rows = [
+        verify.Check(f"stub-{k}", "quick", lambda workers, ok=ok: (ok, f"ok={ok}"))
+        for k, ok in enumerate(outcomes)
+    ]
+    monkeypatch.setattr(verify, "CHECKS", rows + [
+        verify.Check("stub-full", "full", lambda workers: (False, "not run"))
+    ])
 
 
 def test_verify_passing_run(tmp_path, capsys, monkeypatch):
-    report = tmp_path / "report.txt"
-
-    def fake_run_checks(level, *, workers=1, echo=print):
-        echo(f"[ok] stub check ({level}, workers={workers})")
-        return [_Check(True), _Check(True)]
-
-    monkeypatch.setattr(cli, "run_checks", fake_run_checks)
-    assert main(["verify", "--level", "quick", "--out", str(report)]) == 0
-    captured = capsys.readouterr()
-    assert "[ok] stub check (quick, workers=1)" in captured.out
-    assert "2/2 checks passed" in captured.err
-    assert report.read_text() == "[ok] stub check (quick, workers=1)\n"
+    """Report lines carry no timing, so two runs write identical reports;
+    each check's duration goes to stderr."""
+    _stub_checks(monkeypatch, True, True)
+    reports = []
+    for k in range(2):
+        report = tmp_path / f"report{k}.txt"
+        assert main(["verify", "--level", "quick", "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+        captured = capsys.readouterr()
+        assert captured.out == "[PASS] stub-0: ok=True\n[PASS] stub-1: ok=True\n"
+        for name in ("stub-0", "stub-1"):
+            assert re.search(rf"^{name}: \d+\.\d\d s$", captured.err, re.M)
+        assert "2/2 checks passed" in captured.err
+    assert reports[0] == reports[1] == b"[PASS] stub-0: ok=True\n[PASS] stub-1: ok=True\n"
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):
-    def fake_run_checks(level, *, workers=1, echo=print):
-        echo("[fail] stub check")
-        return [_Check(True), _Check(False)]
-
-    monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+    _stub_checks(monkeypatch, True, False)
     assert main(["verify"]) == 4
-    assert "1/2 checks passed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "[FAIL] stub-1: ok=False" in captured.out
+    assert "1/2 checks passed" in captured.err

@@ -151,8 +151,8 @@ def test_tallies_are_pinned(monkeypatch):
         _prng(2718, dimension=6), 10_000, MinorSelector.parse("delete:1"),
         [-1.0, -0.5, 0.0, 0.5, 1.0], workers=2,
     )
-    assert minor.n_psd.tolist() == [1841] * 5
-    assert minor.n_sep.tolist() == [1748, 1717, 1593, 1186, 780]
+    assert minor.n_psd == 1841
+    assert minor.n_event.tolist() == [1748, 1717, 1593, 1186, 780]
 
 
 def test_absolute_separability_is_rarer():
@@ -391,37 +391,29 @@ def test_estimate_minor_desf_nothing_survives(monkeypatch):
         )
 
 
-def test_grid_edges_bracket_uniform_grids():
-    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    edges = estimator._grid_edges(grid)
-    assert np.array_equal(edges, [-1.25, -0.75, -0.25, 0.25, 0.75, 1.25])
-    assert np.array_equal(estimator._grid_edges(np.array([0.5])), [0.0, 1.0])
-
-
 def test_minor_estimates_track_their_curves():
     grid = [-1.0, 0.0, 1.0]
-    hist = estimate_minor_desf(
+    est = estimate_minor_desf(
         _prng(881, dimension=6), 200_000, MinorSelector.parse("delete:1"), grid
     )
-    assert np.array_equal(hist.xi_mid, grid)  # uniform grid is recovered
-    assert np.all(hist.n_psd == hist.n_psd[0])  # one conditioning sample set
+    assert np.array_equal(est.xi, grid)
     for i, xi in enumerate(grid):
         ref = eval_desf("three_right", xi)
-        z = (hist.ratio[i] - ref) / hist.stderr[i]
+        z = (est.ratio[i] - ref) / est.stderr[i]
         assert abs(z) < 4.0, f"xi = {xi}"
 
 
 def test_box_minor_is_certain_on_its_easy_side():
     """pair:2,3 scales a correlation by e^xi, so for xi < 0 the 2x2 minor
     cannot fail; the estimate is exactly 1 with zero spread."""
-    hist = estimate_minor_desf(
+    est = estimate_minor_desf(
         _prng(882, dimension=6), 50_000, MinorSelector.parse("pair:2,3"),
         [-0.5, 0.25],
     )
-    assert hist.ratio[0] == 1.0
-    assert hist.stderr[0] == 0.0
+    assert est.ratio[0] == 1.0
+    assert est.stderr[0] == 0.0
     ref = eval_desf("two_right", 0.25)
-    assert abs(hist.ratio[1] - ref) / hist.stderr[1] < 4.0
+    assert abs(est.ratio[1] - ref) / est.stderr[1] < 4.0
 
 
 # ---------------------------------------------------------------------------
