@@ -9,9 +9,14 @@ Every estimator here follows one discipline:
 * tallies merge in sorted key order.
 
 One driver (``_estimate``) plans, runs and merges the batches of all four
-estimators.  Within a batch the state estimators run the stages stream ->
-cube-to-state map -> positivity mask (``_states``) -> separability test ->
-tally; the minor estimator streams correlations only and skips the map.
+estimators.  Every batch starts with one survivor-first stage
+(``_positive_rows``): stream -> correlations ``z = 2u - 1`` -> positivity
+mask, keeping only the cube points whose ``z`` is a positive correlation
+matrix.  Positivity never depends on the diagonal, so the state estimators
+then run the expensive cube-to-state map on those survivors alone
+(``_states``), about 18% of the stream, before the separability test and
+the tally; the minor estimator needs correlations only and skips the map.
+The map is row-wise, so masking first changes no tally.
 
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
 depend on execution order, results are byte-identical no matter how many
@@ -202,12 +207,17 @@ def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
     )
 
 
-def _states(spec, offset, size):
-    """Stream, map and mask one batch: the ``(diag, z)`` of its positive states."""
+def _positive_rows(spec, offset, size):
+    """Stream one batch and keep the points whose correlations -- the last
+    six coordinates, mapped by ``z = 2u - 1`` -- form a positive state."""
     pts = next_points(spec, size, offset)
-    diag, z = cube_to_bloore_batch(pts)
-    psd = z_psd_mask(z)
-    return diag[psd], z[psd]
+    return pts[z_psd_mask(2.0 * pts[:, -6:] - 1.0)]
+
+
+def _states(spec, offset, size):
+    """Stream and mask one batch, then map only its survivors: the
+    ``(diag, z)`` of its positive states."""
+    return cube_to_bloore_batch(_positive_rows(spec, offset, size))
 
 
 def _pt_separable(diag, z):
@@ -468,8 +478,7 @@ def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarr
 
 def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
     def kernel(spec, offset, size):
-        z = 2.0 * next_points(spec, size, offset) - 1.0
-        z = z[z_psd_mask(z)]
+        z = 2.0 * _positive_rows(spec, offset, size) - 1.0
         counts = [int(minor_event_mask(z, xi, minor).sum()) for xi in xi_grid]
         return (len(z), np.asarray(counts, dtype=np.int64))
 

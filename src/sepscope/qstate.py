@@ -297,14 +297,15 @@ def z_psd_mask(z: np.ndarray) -> np.ndarray:
     """Strict positive-definiteness mask for correlation matrices.
 
     Sylvester's criterion on the leading minors; the PSD/PD boundary has
-    measure zero under the sampling measures used here.
+    measure zero under the sampling measures used here.  The 4x4
+    determinant is evaluated only on rows that pass the 2x2 and 3x3 minors.
     """
-    z12, z13, z14, z23, z24, z34 = (z[:, k] for k in range(6))
-    return (
-        (1.0 - z12 * z12 > 0.0)
-        & (corr_det3(z12, z13, z23) > 0.0)
-        & (corr_det4(z12, z13, z14, z23, z24, z34) > 0.0)
-    )
+    z12, z13, z23 = z[:, 0], z[:, 1], z[:, 3]
+    mask = (1.0 - z12 * z12 > 0.0) & (corr_det3(z12, z13, z23) > 0.0)
+    rows = np.flatnonzero(mask)
+    s = z[rows]
+    mask[rows] = corr_det4(*(s[:, k] for k in range(6))) > 0.0
+    return mask
 
 
 def pt_corr_det4(z: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -19,12 +19,13 @@ diagonal by stick-breaking through Beta quantile functions (the diagonal of a
 HS-random matrix is Dirichlet(5/2, 5/2, 5/2, 5/2)), and coordinates 3-8 map
 affinely onto the off-diagonal correlations ``z in [-1, 1]^6``.  Positivity
 is *not* imposed here; estimators count the fraction of the cube that lands
-inside the positive-semidefinite body.
+inside the positive-semidefinite body.  Since positivity depends on ``z``
+alone, the estimators mask a batch on ``z = 2u - 1`` first and pass only
+the surviving points (about 18%) through :func:`cube_to_bloore_batch`.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -48,6 +49,9 @@ _STICK_PARAMS = ((2.5, 7.5), (2.5, 5.0), (2.5, 2.5))
 # Quantile arguments are clipped away from {0, 1} so degenerate diagonals
 # (which have undefined xi) cannot arise from a point on the cube boundary.
 _U_CLIP = 1e-12
+
+# Corners of the star-discrepancy grid tested per vectorized pass.
+_CORNER_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -169,11 +173,13 @@ def star_discrepancy(points: np.ndarray) -> float:
     if np.any(pts < 0.0) or np.any(pts >= 1.0):
         raise ValueError("points must lie in [0, 1)")
     candidates = [np.unique(np.concatenate((pts[:, j], [1.0]))) for j in range(d)]
+    corners = np.stack(np.meshgrid(*candidates, indexing="ij"), axis=-1).reshape(-1, d)
     worst = 0.0
-    for corner in itertools.product(*candidates):
-        y = np.asarray(corner)
-        vol = float(np.prod(y))
-        closed = float(np.mean(np.all(pts <= y, axis=1)))
-        open_ = float(np.mean(np.all(pts < y, axis=1)))
-        worst = max(worst, closed - vol, vol - open_)
+    # a chunk of corners at a time: (chunk, n, d) booleans stay ~1.5 MB
+    for start in range(0, len(corners), _CORNER_CHUNK):
+        y = corners[start:start + _CORNER_CHUNK]
+        vol = y.prod(axis=1)
+        closed = np.count_nonzero(np.all(pts <= y[:, None], axis=2), axis=1) / n
+        open_ = np.count_nonzero(np.all(pts < y[:, None], axis=2), axis=1) / n
+        worst = max(worst, float(np.max(closed - vol)), float(np.max(vol - open_)))
     return worst

@@ -34,7 +34,6 @@ from .qstate import (
     pt_corr_det4,
     werner,
     xi_from_diag,
-    z_psd_mask,
 )
 
 __all__ = ["Check", "CheckResult", "CHECKS", "LEVELS", "run_checks", "REFERENCES"]
@@ -103,10 +102,11 @@ def _lds(seed, dimension=9):
 
 
 def _psd_sample(seed, n):
-    """The ``(diag, z)`` of the positive states among ``n`` stream points."""
-    diag, z = sampling.cube_to_bloore_batch(sampling.next_points(_prng(seed), n))
-    keep = z_psd_mask(z)
-    return diag[keep], z[keep]
+    """The ``(diag, z)`` of the positive states among ``n`` stream points,
+    drawn through the estimators' survivor-first stage one batch at a time."""
+    spec = _prng(seed)
+    parts = [estimator._states(spec, off, size) for _, off, size in estimator._batch_plan(n)]
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

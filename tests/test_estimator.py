@@ -114,6 +114,27 @@ def test_all_separable_when_constraint_is_disabled(monkeypatch):
     assert res.n_effective > 0
 
 
+def test_only_positive_points_are_mapped(monkeypatch):
+    """The diagonal map runs on the survivors of the positivity mask alone:
+    summed over every batch, its rows equal the conditioning count."""
+    monkeypatch.setattr(estimator, "BATCH_SIZE", 4096)
+    mapped = []
+    real_map = estimator.cube_to_bloore_batch
+
+    def counting_map(points):
+        mapped.append(len(points))
+        return real_map(points)
+
+    monkeypatch.setattr(estimator, "cube_to_bloore_batch", counting_map)
+    hist = estimate_desf(_lds(31), 20_000, bins=15, workers=2)
+    assert len(mapped) == 5  # one map call per batch
+    assert sum(mapped) == hist.n_psd.sum() + hist.n_psd_outside
+    mapped.clear()
+    res = estimate_sep_probability(_prng(31), 20_000, workers=2)
+    assert len(mapped) == 5
+    assert sum(mapped) == res.n_effective
+
+
 def _tally(res):
     return (res.n_effective, round(res.mean * res.n_effective))
 

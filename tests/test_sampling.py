@@ -1,5 +1,7 @@
 """Sampling-layer tests: stream skippability, the state map, discrepancy."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,31 @@ def test_star_discrepancy_hand_values():
     # centered one-dimensional grid attains the optimum 1/(2n)
     grid = ((2 * np.arange(4) + 1) / 8.0).reshape(-1, 1)
     assert star_discrepancy(grid) == pytest.approx(1.0 / 8.0)
+
+
+def _star_discrepancy_oracle(pts):
+    """Every corner of the critical grid, one at a time, in plain Python."""
+    n, d = pts.shape
+    axes = [sorted(set(pts[:, j].tolist()) | {1.0}) for j in range(d)]
+    worst = 0.0
+    for y in itertools.product(*axes):
+        vol = y[0]
+        for v in y[1:]:
+            vol = vol * v
+        closed = sum(all(p[j] <= y[j] for j in range(d)) for p in pts.tolist())
+        open_ = sum(all(p[j] < y[j] for j in range(d)) for p in pts.tolist())
+        worst = max(worst, closed / n - vol, vol - open_ / n)
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_star_discrepancy_matches_corner_loop(seed):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+    pts = rng.random((n, d))
+    if seed % 3 == 0:  # ties on the grid
+        pts = np.floor(pts * 8.0) / 8.0
+    assert star_discrepancy(pts) == _star_discrepancy_oracle(pts)
 
 
 def test_star_discrepancy_validation():

@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sepscope.estimator as estimator
 import sepscope.verify as verify
+from sepscope.qstate import z_psd_mask
+from sepscope.sampling import cube_to_bloore_batch, next_points
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +36,19 @@ def test_a_raising_check_is_a_failed_check(monkeypatch):
         "[PASS] passes: fine",
     ]
     assert all(r.seconds >= 0.0 for r in results)
+
+
+def test_psd_sample_matches_map_then_mask(monkeypatch):
+    """Drawn batch by batch, masked before it is mapped, the sample is the
+    one a single map-then-mask call over the whole stream gives."""
+    monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
+    n = 3500
+    diag, z = cube_to_bloore_batch(next_points(verify._prng(9108), n))
+    keep = z_psd_mask(z)
+    got_diag, got_z = verify._psd_sample(9108, n)
+    assert len(got_z) > 0
+    assert np.array_equal(got_diag, diag[keep])
+    assert np.array_equal(got_z, z[keep])
 
 
 def test_unknown_level_is_rejected():
