@@ -53,7 +53,6 @@ from .quadrature import (
 )
 from .sampling import SequenceSpec
 from .sepfun import TAGS, DesfCurve, eval_desf_array, jacobian_general_beta, jacobian_xi
-from .verify import run_checks
 
 __all__ = ["main"]
 
@@ -195,6 +194,25 @@ def _cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _split_notes(spec, n, replicates, n_total):
+    """What a replicate split gives up, one line per loss: the points that
+    ``n // replicates`` drops, and the balance of a Sobol replicate whose
+    length is not a power of two."""
+    n_per = n_total // replicates
+    notes = []
+    if n_total < n:
+        notes.append(
+            f"n={n} does not split evenly into {replicates} replicates; "
+            f"{n - n_total} points dropped (n_total={n_total})"
+        )
+    if spec.engine == "low_discrepancy" and n_per & (n_per - 1):
+        notes.append(
+            f"each lds replicate reads {n_per} points, not a power of two, "
+            "so its Sobol points lose their balance properties"
+        )
+    return notes
+
+
 def _cmd_estimate(args) -> int:
     spec = _sequence_spec(args)
     workers = _workers(args)
@@ -207,6 +225,8 @@ def _cmd_estimate(args) -> int:
     dt = time.perf_counter() - t0
     print(f"wall time: {dt:.2f} s", file=sys.stderr)
     n_replicates = len(res.replicate_means) if res.replicate_means else 1
+    for note in _split_notes(spec, args.n, n_replicates, res.n_total):
+        print(f"note: {note}", file=sys.stderr)
     params = {
         "target": args.target,
         "n": args.n,
@@ -444,6 +464,10 @@ def _cmd_curves_residual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: verify loads scipy.stats and scipy.integrate, about a
+    # second of start-up that the other subcommands do not need
+    from .verify import run_checks
+
     workers = _workers(args)
     t0 = time.perf_counter()
 

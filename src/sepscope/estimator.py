@@ -37,7 +37,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .errors import InsufficientSamplesError
 from .qstate import (
@@ -64,7 +63,6 @@ __all__ = [
     "estimate_minor_desf",
     "CurveComparison",
     "compare_curves",
-    "binomial_two_sided_pvalue",
 ]
 
 #: Fixed batch size; a power of two so low-discrepancy prefixes stay balanced.
@@ -598,17 +596,3 @@ def compare_curves(
         n_skipped=int((~used).sum()),
     )
 
-
-def binomial_two_sided_pvalue(k: int, n: int, p: float) -> float:
-    """Conservative two-sided exact binomial p-value (doubled tail).
-
-    Used instead of a Gaussian z-score wherever the expected count in a bin
-    is too small for the normal approximation.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    lo = binom.cdf(k, n, p)
-    hi = binom.sf(k - 1, n, p)
-    return float(min(1.0, 2.0 * min(lo, hi)))

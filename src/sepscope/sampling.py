@@ -5,8 +5,10 @@ Two engines produce points in ``[0, 1)^d``:
 * ``pseudo_random`` -- counter-based Philox.  Because the generator is
   counter-based, jumping to an arbitrary point index is cheap, which is what
   makes deterministic work-splitting across processes possible.
-* ``low_discrepancy`` -- scrambled Sobol (scipy), fast-forwardable the same
-  way.
+* ``low_discrepancy`` -- scrambled Sobol (``scipy.stats.qmc``),
+  fast-forwardable the same way.  ``scipy.stats`` takes about a second to
+  import, so it is loaded on the first Sobol draw: a process that reads only
+  Philox streams, or none, never pays for it.
 
 The fundamental contract is *skippability*: for a fixed spec,
 ``next_points(spec, n, offset)`` returns exactly rows ``offset .. offset+n-1``
@@ -31,7 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betaincinv
-from scipy.stats import qmc
 
 __all__ = [
     "ENGINES",
@@ -119,6 +120,8 @@ def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
             gen.random(rem)
         pts = gen.random((n, d))
     else:
+        from scipy.stats import qmc  # ~1 s to import; only Sobol streams need it
+
         eng = qmc.Sobol(d=d, scramble=spec.scramble, seed=spec.seed)
         if offset:
             eng.fast_forward(offset)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import binom
 
 from . import estimator, quadrature, sampling, sepfun
 from .qstate import (
@@ -36,7 +37,10 @@ from .qstate import (
     xi_from_diag,
 )
 
-__all__ = ["Check", "CheckResult", "CHECKS", "LEVELS", "run_checks", "REFERENCES"]
+__all__ = [
+    "Check", "CheckResult", "CHECKS", "LEVELS", "run_checks", "REFERENCES",
+    "binomial_two_sided_pvalue",
+]
 
 LEVELS = ("quick", "full")
 
@@ -332,12 +336,37 @@ def _diagonal_moments(workers, seed, n, z_max):
     return ok, f"first-entry moments z = {zm:+.2f} (mean), {zv:+.2f} (second)"
 
 
+def binomial_two_sided_pvalue(k: int, n: int, p: float) -> float:
+    """Conservative two-sided exact binomial p-value (doubled tail).
+
+    Used instead of a Gaussian z-score wherever the expected count in a bin
+    is too small for the normal approximation.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    lo = binom.cdf(k, n, p)
+    hi = binom.sf(k - 1, n, p)
+    return float(min(1.0, 2.0 * min(lo, hi)))
+
+
+def _xi_counts(seed, n, edges):
+    """Histogram of xi over ``n`` stream points, positive or not, drawn and
+    mapped one batch at a time; the counts of the batches add."""
+    spec = _prng(seed)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for _, off, size in estimator._batch_plan(n):
+        diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, off))
+        counts += np.histogram(xi_from_diag(diag), bins=edges)[0]
+    return counts
+
+
 def _xi_histogram(workers, seed, n, z_max):
     """Sampled xi against bin probabilities of the density, integrated by
     scipy's quad rather than this package's own quadrature."""
-    diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(_prng(seed), n))
     edges = np.linspace(-6.0, 6.0, 61)
-    counts = np.histogram(xi_from_diag(diag), bins=edges)[0]
+    counts = _xi_counts(seed, n, edges)
     probs = np.array([
         quad(sepfun.jacobian_xi, a, b, epsabs=1e-13, epsrel=1e-12)[0]
         for a, b in zip(edges[:-1], edges[1:])
@@ -348,11 +377,11 @@ def _xi_histogram(workers, seed, n, z_max):
         if expected >= 10.0:
             worst_z = max(worst_z, abs(k - expected) / math.sqrt(expected * (1.0 - p)))
         else:
-            pv = estimator.binomial_two_sided_pvalue(int(k), n, p)
+            pv = binomial_two_sided_pvalue(int(k), n, p)
             if pv < _P_MIN:
                 return False, f"sparse bin p-value {pv:.1e} at count {k}"
     p_out = max(1.0 - probs.sum(), 0.0)
-    pv = estimator.binomial_two_sided_pvalue(int(n - counts.sum()), n, p_out)
+    pv = binomial_two_sided_pvalue(int(n - counts.sum()), n, p_out)
     if pv < _P_MIN:
         return False, f"outside-range mass p-value {pv:.1e}"
     ok = worst_z <= z_max

@@ -151,6 +151,27 @@ def test_estimate_lds_reports_replicates(tmp_path):
     assert len(data["replicate_means"]) == 8
 
 
+@pytest.mark.parametrize("argv, notes", [
+    (["--n", "20003", "--replicates", "4"],
+     ["note: n=20003 does not split evenly into 4 replicates; "
+      "3 points dropped (n_total=20000)"]),
+    (["--n", "40000", "--engine", "lds"],
+     ["note: each lds replicate reads 5000 points, not a power of two, "
+      "so its Sobol points lose their balance properties"]),
+    (["--n", str(8 * 2**12), "--engine", "lds"], []),
+], ids=["dropped-points", "unbalanced-sobol", "power-of-two"])
+def test_estimate_notes_replicate_splits(tmp_path, capsys, argv, notes):
+    """A split that drops points or unbalances a Sobol replicate says so on
+    stderr, one line each."""
+    out = tmp_path / "est.json"
+    assert main(["estimate", *argv, "--seed", "3", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "wall time" in err
+    assert [line for line in err.splitlines() if line.startswith("note: ")] == notes
+    _, data = _read_json_payload(out.read_text())
+    assert data["n_total"] == int(argv[1]) // data["replicates"] * data["replicates"]
+
+
 def test_worker_count_is_invisible_in_output(tmp_path, monkeypatch):
     monkeypatch.setattr(estimator, "BATCH_SIZE", 4096)
     p1, p2 = tmp_path / "w1.json", tmp_path / "w2.json"

@@ -13,7 +13,6 @@ from sepscope.estimator import (
     DesfHistogram,
     EstimateResult,
     MinorSelector,
-    binomial_two_sided_pvalue,
     compare_curves,
     estimate_abs_sep_probability,
     estimate_desf,
@@ -476,14 +475,3 @@ def test_compare_curves_flat_reference_bins():
     assert cmp_.zscore[0] == 0.0  # residual zero on a flat bin
     assert np.isinf(cmp_.zscore[1])  # any miss on a flat bin is infinite
 
-
-def test_binomial_two_sided_pvalue():
-    assert binomial_two_sided_pvalue(0, 10, 0.5) == pytest.approx(2.0 / 1024.0)
-    assert binomial_two_sided_pvalue(5, 10, 0.5) == 1.0  # clamped at 1
-    assert binomial_two_sided_pvalue(2, 2, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        binomial_two_sided_pvalue(11, 10, 0.5)
-    with pytest.raises(ValueError):
-        binomial_two_sided_pvalue(-1, 10, 0.5)
-    with pytest.raises(ValueError):
-        binomial_two_sided_pvalue(1, 10, 1.5)

@@ -10,7 +10,7 @@ import pytest
 
 import sepscope.estimator as estimator
 import sepscope.verify as verify
-from sepscope.qstate import z_psd_mask
+from sepscope.qstate import xi_from_diag, z_psd_mask
 from sepscope.sampling import cube_to_bloore_batch, next_points
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +49,29 @@ def test_psd_sample_matches_map_then_mask(monkeypatch):
     assert len(got_z) > 0
     assert np.array_equal(got_diag, diag[keep])
     assert np.array_equal(got_z, z[keep])
+
+
+def test_xi_counts_add_over_batches(monkeypatch):
+    """Drawn and mapped one batch at a time, the xi histogram has the counts
+    of one map over the whole stream."""
+    edges = np.linspace(-6.0, 6.0, 61)
+    diag, _ = cube_to_bloore_batch(next_points(verify._prng(303), 3500))
+    whole = np.histogram(xi_from_diag(diag), bins=edges)[0]
+    monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
+    assert len(estimator._batch_plan(3500)) == 4
+    assert np.array_equal(verify._xi_counts(303, 3500, edges), whole)
+
+
+def test_binomial_two_sided_pvalue():
+    assert verify.binomial_two_sided_pvalue(0, 10, 0.5) == pytest.approx(2.0 / 1024.0)
+    assert verify.binomial_two_sided_pvalue(5, 10, 0.5) == 1.0  # clamped at 1
+    assert verify.binomial_two_sided_pvalue(2, 2, 1.0) == 1.0
+    with pytest.raises(ValueError):
+        verify.binomial_two_sided_pvalue(11, 10, 0.5)
+    with pytest.raises(ValueError):
+        verify.binomial_two_sided_pvalue(-1, 10, 0.5)
+    with pytest.raises(ValueError):
+        verify.binomial_two_sided_pvalue(1, 10, 1.5)
 
 
 def test_unknown_level_is_rejected():
