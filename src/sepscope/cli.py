@@ -266,6 +266,8 @@ def _cmd_desf(args) -> int:
     )
     dt = time.perf_counter() - t0
     print(f"wall time: {dt:.2f} s", file=sys.stderr)
+    for note in _split_notes(spec, args.n, 1, args.n):
+        print(f"note: {note}", file=sys.stderr)
     params = {
         "n": args.n,
         "bins": args.bins,

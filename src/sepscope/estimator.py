@@ -40,10 +40,11 @@ import numpy as np
 
 from .errors import InsufficientSamplesError
 from .qstate import (
-    Z_PAIRS,
+    abs_separable_mask,
     assemble_states,
-    corr_det3,
+    corr_minor,
     pt_corr_det4,
+    pt_correlations,
     xi_from_diag,
     z_psd_mask,
 )
@@ -225,13 +226,6 @@ def _pt_separable(diag, z):
     return xi, pt_corr_det4(z, xi) >= 0.0
 
 
-def _abs_separable(diag, z):
-    """The spectral test l1 - l3 - 2 sqrt(l2 l4) <= 0 on ordered eigenvalues."""
-    ev = np.linalg.eigvalsh(assemble_states(diag, z))
-    gap = ev[:, 3] - ev[:, 1] - 2.0 * np.sqrt(np.maximum(ev[:, 2] * ev[:, 0], 0.0))
-    return gap <= 0.0
-
-
 def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
     """P(test | positive), each batch tallying (positive states, passing)."""
 
@@ -271,7 +265,10 @@ def estimate_abs_sep_probability(
     Uses the spectral criterion l1 - l3 - 2 sqrt(l2 l4) <= 0 on the ordered
     eigenvalues, so each positive sample costs one symmetric eigensolve.
     """
-    return _conditional_estimate(spec, n, workers, replicates, _abs_separable)
+    return _conditional_estimate(
+        spec, n, workers, replicates,
+        lambda diag, z: abs_separable_mask(assemble_states(diag, z)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +375,6 @@ def estimate_desf(
 # Single principal minors of the partial transpose
 # ---------------------------------------------------------------------------
 
-_PAIR_TO_SLOT = {pair: k for k, pair in enumerate(Z_PAIRS)}
-
-
 @dataclass(frozen=True)
 class MinorSelector:
     """Selects one principal minor of the partially transposed matrix.
@@ -394,18 +388,14 @@ class MinorSelector:
     index: tuple
 
     def __post_init__(self):
-        if self.kind == "pair":
-            idx = tuple(int(v) for v in self.index)
-            if len(idx) != 2 or not (1 <= idx[0] < idx[1] <= 4):
-                raise ValueError(f"pair index must be 1 <= i < j <= 4, got {self.index}")
-            object.__setattr__(self, "index", idx)
-        elif self.kind == "delete":
-            idx = tuple(int(v) for v in self.index)
-            if len(idx) != 1 or not 1 <= idx[0] <= 4:
-                raise ValueError(f"delete index must be a single 1..4, got {self.index}")
-            object.__setattr__(self, "index", idx)
-        else:
+        if self.kind not in ("pair", "delete"):
             raise ValueError(f"kind must be 'pair' or 'delete', got {self.kind!r}")
+        idx = tuple(int(v) for v in self.index)
+        if self.kind == "pair" and (len(idx) != 2 or not 1 <= idx[0] < idx[1] <= 4):
+            raise ValueError(f"pair index must be 1 <= i < j <= 4, got {self.index}")
+        if self.kind == "delete" and (len(idx) != 1 or not 1 <= idx[0] <= 4):
+            raise ValueError(f"delete index must be a single 1..4, got {self.index}")
+        object.__setattr__(self, "index", idx)
 
     @classmethod
     def parse(cls, text: str) -> "MinorSelector":
@@ -419,6 +409,13 @@ class MinorSelector:
         raise ValueError(f"cannot parse minor selector {text!r}")
 
     @property
+    def rows(self) -> tuple:
+        """The 0-based rows/columns the minor keeps, in increasing order."""
+        if self.kind == "pair":
+            return tuple(i - 1 for i in self.index)
+        return tuple(i for i in range(4) if i != self.index[0] - 1)
+
+    @property
     def branch_tag(self) -> str:
         """The closed-form curve this minor's conditional probability follows,
         or None for the four pairs the partial transpose leaves untouched."""
@@ -430,10 +427,9 @@ class MinorSelector:
         return f"delete:{self.index[0]}"
 
 
-#: Which closed-form branch each informative minor follows.  The partial
-#: transpose moves exactly one correlation into rows/columns (2, 3) scaled by
-#: e^xi and one into (1, 4) scaled by e^-xi; minors containing the former
-#: follow the right-branch curves, the latter the left-branch ones.
+#: Which closed-form branch each informative minor follows: minors holding
+#: the (2, 3) slot of ``qstate.pt_correlations`` follow the right-branch
+#: curves, those holding its (1, 4) slot the left-branch ones.
 MINOR_BRANCH_TABLE = {
     ("delete", (1,)): "three_right",
     ("delete", (4,)): "three_right",
@@ -444,20 +440,6 @@ MINOR_BRANCH_TABLE = {
 }
 
 
-def _pt_slots(z: np.ndarray, xi: float):
-    """The six off-diagonal correlations of the partially transposed matrix,
-    keyed by 1-based row/column pair."""
-    e = math.exp(xi)
-    return {
-        (1, 2): z[:, 0],
-        (1, 3): z[:, 1],
-        (1, 4): z[:, 3] / e,
-        (2, 3): z[:, 2] * e,
-        (2, 4): z[:, 4],
-        (3, 4): z[:, 5],
-    }
-
-
 def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarray:
     """Whether the selected minor of the partial transpose is non-negative.
 
@@ -465,13 +447,8 @@ def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarr
     the correlation minor times a positive product of diagonal entries, so
     the sign never depends on which diagonal realizes ``xi``.
     """
-    z = np.asarray(z, dtype=float)
-    s = _pt_slots(z, float(xi))
-    if minor.kind == "pair":
-        return np.abs(s[minor.index]) <= 1.0
-    k = minor.index[0]
-    a, b, c = (i for i in (1, 2, 3, 4) if i != k)
-    return corr_det3(s[(a, b)], s[(a, c)], s[(b, c)]) >= 0.0
+    s = pt_correlations(np.asarray(z, dtype=float), float(xi))
+    return corr_minor(s, minor.rows) >= 0.0
 
 
 def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
@@ -572,6 +549,8 @@ def compare_curves(
     hist: DesfHistogram, curve: DesfCurve, *, min_count: int = 10
 ) -> CurveComparison:
     """Compare a DESF histogram with a curve evaluated at bin midpoints."""
+    if min_count < 1:  # an empty bin has no ratio to compare
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     mid = hist.xi_mid
     ref = eval_desf_array(curve, mid)
     used = hist.n_psd >= min_count

@@ -16,15 +16,20 @@ log-ratio
 
     xi = 1/2 * log(rho_11 * rho_44 / (rho_22 * rho_33)).
 
+:func:`pt_correlations` is the one statement of where the partial transpose
+moves each correlation; every minor of the partial transpose (``corr_minor``,
+``pt_corr_det4``) is read from its six columns.
+
 Scalar operations work on :class:`DensityMatrix` / :class:`BlooreCoords`
 values; the module-level array kernels (``corr_det3``, ``corr_det4``,
-``pt_corr_det4``, ``z_psd_mask``, ...) provide the same arithmetic on batches
-and are the hot path used by the estimators.
+``pt_correlations``, ``corr_minor``, ``z_psd_mask``, ...) provide the same
+arithmetic on batches and are the hot path used by the estimators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -47,10 +52,14 @@ __all__ = [
     "is_absolutely_separable",
     "corr_det3",
     "corr_det4",
+    "corr_minor",
+    "corr_matrices",
     "z_psd_mask",
+    "pt_correlations",
     "pt_corr_det4",
     "xi_from_diag",
     "assemble_states",
+    "abs_separable_mask",
 ]
 
 #: Index pairs (0-based) of the six correlations, in fixed order
@@ -134,10 +143,7 @@ class BlooreCoords:
 
     def correlation_matrix(self) -> np.ndarray:
         """The 4x4 unit-diagonal matrix Z."""
-        Z = np.eye(4)
-        for k, (i, j) in enumerate(Z_PAIRS):
-            Z[i, j] = Z[j, i] = self.z[k]
-        return Z
+        return corr_matrices(self.z[:, None])[0]
 
 
 def werner(w: float) -> DensityMatrix:
@@ -156,10 +162,8 @@ def from_bloore(c: BlooreCoords) -> DensityMatrix:
     The result is symmetric with unit trace by construction; it is *not*
     guaranteed PSD (test with :func:`is_psd`).
     """
-    s = np.sqrt(c.diag)
-    m = np.diag(c.diag)
-    for k, (i, j) in enumerate(Z_PAIRS):
-        m[i, j] = m[j, i] = c.z[k] * s[i] * s[j]
+    m = assemble_states(c.diag[None], c.z[None])[0]
+    np.fill_diagonal(m, c.diag)  # sqrt(d)**2 is not d in the last ulp
     return DensityMatrix(m)
 
 
@@ -215,10 +219,6 @@ def principal_minors_3x3(rho: DensityMatrix) -> np.ndarray:
     return out
 
 
-def _eigvalsh(rho: DensityMatrix) -> np.ndarray:
-    return np.linalg.eigvalsh(rho.matrix)
-
-
 def is_psd(state, tol: float = DEFAULT_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol.
 
@@ -261,17 +261,15 @@ def is_absolutely_separable(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> boo
     """
     if not is_psd(rho, tol):
         raise NonPsdError("absolute-separability test requires a PSD state")
-    ev = _eigvalsh(rho)[::-1]  # descending
-    l2l4 = max(ev[1] * ev[3], 0.0)  # clamp tiny negative roundoff at the boundary
-    return float(ev[0] - ev[2] - 2.0 * np.sqrt(l2l4)) <= 0.0
+    return bool(abs_separable_mask(rho.matrix[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # Array kernels.
 #
 # These operate on batches: ``z`` has shape (n, 6) ordered per Z_PAIRS,
-# ``diag`` has shape (n, 4).  They are plain polynomial arithmetic, kept
-# free of Python-level loops.
+# ``diag`` has shape (n, 4).  They are plain polynomial arithmetic (plus one
+# batched eigensolve), with no Python-level loop over rows.
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +291,16 @@ def corr_det4(s12, s13, s14, s23, s24, s34):
     )
 
 
+def corr_minor(s, rows):
+    """Principal minor on the 0-based ``rows`` (two or three of them, in
+    increasing order) of the unit-diagonal symmetric 4x4 whose six
+    off-diagonal columns ``s`` are ordered per :data:`Z_PAIRS`."""
+    off = [s[Z_PAIRS.index(pair)] for pair in combinations(rows, 2)]
+    if len(off) == 1:
+        return 1.0 - off[0] * off[0]
+    return corr_det3(*off)
+
+
 def z_psd_mask(z: np.ndarray) -> np.ndarray:
     """Strict positive-definiteness mask for correlation matrices.
 
@@ -300,24 +308,26 @@ def z_psd_mask(z: np.ndarray) -> np.ndarray:
     measure zero under the sampling measures used here.  The 4x4
     determinant is evaluated only on rows that pass the 2x2 and 3x3 minors.
     """
-    z12, z13, z23 = z[:, 0], z[:, 1], z[:, 3]
-    mask = (1.0 - z12 * z12 > 0.0) & (corr_det3(z12, z13, z23) > 0.0)
+    mask = (corr_minor(z.T, (0, 1)) > 0.0) & (corr_minor(z.T, (0, 1, 2)) > 0.0)
     rows = np.flatnonzero(mask)
-    s = z[rows]
-    mask[rows] = corr_det4(*(s[:, k] for k in range(6))) > 0.0
+    mask[rows] = corr_det4(*z[rows].T) > 0.0
     return mask
 
 
-def pt_corr_det4(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """det of the partial transpose's correlation matrix.
-
-    The partial transpose moves the (2,3) correlation into the (1,4) slot
-    scaled by ``e^-xi`` and the (1,4) correlation into the (2,3) slot scaled
-    by ``e^xi``; the full determinant is this value times ``prod(diag)``, so
-    its sign is diagonal-free.
-    """
+def pt_correlations(z: np.ndarray, xi):
+    """The partial transpose's six correlations, a tuple of columns ordered
+    per :data:`Z_PAIRS`: ``z_23 e^-xi`` moves into slot (1,4) and ``z_14 e^xi``
+    into slot (2,3).  Each principal minor of the partially transposed state
+    is their minor times a positive product of diagonal entries, so its sign
+    is diagonal-free."""
     e = np.exp(xi)
-    return corr_det4(z[:, 0], z[:, 1], z[:, 3] / e, z[:, 2] * e, z[:, 4], z[:, 5])
+    return (z[:, 0], z[:, 1], z[:, 3] / e, z[:, 2] * e, z[:, 4], z[:, 5])
+
+
+def pt_corr_det4(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """det of the partial transpose's correlation matrix; the full
+    determinant is this value times ``prod(diag)``."""
+    return corr_det4(*pt_correlations(z, xi))
 
 
 def xi_from_diag(diag: np.ndarray) -> np.ndarray:
@@ -326,11 +336,23 @@ def xi_from_diag(diag: np.ndarray) -> np.ndarray:
         return 0.5 * np.log(diag[:, 0] * diag[:, 3] / (diag[:, 1] * diag[:, 2]))
 
 
+def corr_matrices(s) -> np.ndarray:
+    """Stack of unit-diagonal symmetric 4x4 matrices, shape (n, 4, 4), from
+    six off-diagonal columns ordered per :data:`Z_PAIRS` (``z.T`` of a batch)."""
+    out = np.ones((len(s[0]), 4, 4))
+    for k, (i, j) in enumerate(Z_PAIRS):
+        out[:, i, j] = out[:, j, i] = s[k]
+    return out
+
+
 def assemble_states(diag: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Stack of dense 4x4 states from batched coordinates, shape (n, 4, 4)."""
     s = np.sqrt(diag)
-    out = s[:, :, None] * s[:, None, :]
-    zz = np.ones((z.shape[0], 4, 4))
-    for k, (i, j) in enumerate(Z_PAIRS):
-        zz[:, i, j] = zz[:, j, i] = z[:, k]
-    return out * zz
+    return s[:, :, None] * s[:, None, :] * corr_matrices(z.T)
+
+
+def abs_separable_mask(states: np.ndarray) -> np.ndarray:
+    """:func:`is_absolutely_separable`'s spectral test on a (n, 4, 4) stack."""
+    ev = np.linalg.eigvalsh(states)  # ascending; l2 * l4 clamped at roundoff
+    gap = ev[:, 3] - ev[:, 1] - 2.0 * np.sqrt(np.maximum(ev[:, 2] * ev[:, 0], 0.0))
+    return gap <= 0.0

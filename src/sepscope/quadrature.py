@@ -4,7 +4,7 @@ The workhorse is a Gauss-Kronrod 7/15 embedded pair with greedy bisection of
 the worst panel.  Integrands are vectorized callables (called on arrays of 15
 abscissae); all the curve-times-density integrands decay like
 ``|xi| e^(-5|xi|)`` or faster, so the line is truncated to ``[-L, L]`` with
-``L = 40`` by default (tail mass below 1e-80, far under any tolerance used
+``L = 40`` (tail mass below 1e-80, far under any tolerance used
 here).  Panel selection and accumulation follow a fixed deterministic order,
 so results are bit-reproducible for a given tolerance regardless of how many
 workers the caller runs elsewhere.
@@ -67,6 +67,12 @@ _WG = np.array([
 ])
 
 _EPS = np.finfo(float).eps
+
+#: The half-width ``L`` of the truncated line (see the module docstring).
+_HALF_RANGE = 40.0
+
+#: Integrand evaluations an adaptive pass may spend before giving up.
+_MAX_EVALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -147,14 +153,13 @@ def integrate_real_line(
     f,
     tol: float = 1e-10,
     *,
-    half_range: float = 40.0,
     breakpoints=(),
-    max_evals: int = 100_000,
+    max_evals: int = _MAX_EVALS,
 ) -> QuadratureResult:
     """Integrate a vectorized integrand over the real line.
 
     ``f`` must accept a numpy array and decay fast enough that the mass
-    outside ``[-half_range, half_range]`` is negligible at the requested
+    outside ``[-40, 40]`` is negligible at the requested
     tolerance (the curve-density products here decay like ``xi e^(-5 xi)``).
     ``breakpoints`` seeds extra panel boundaries at known kinks.  On success
     ``abs_err_est <= tol``; otherwise a :class:`QuadratureError` carries the
@@ -162,10 +167,9 @@ def integrate_real_line(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    L = float(half_range)
     interior = {-1.0, 0.0, 1.0}
     interior.update(float(p) for p in breakpoints)
-    return _adaptive(f, _segment_points(-L, L, interior), tol, max_evals)
+    return _adaptive(f, _segment_points(-_HALF_RANGE, _HALF_RANGE, interior), tol, max_evals)
 
 
 def separability_probability(
@@ -173,8 +177,6 @@ def separability_probability(
     tol: float = 1e-10,
     *,
     even_shortcut: bool = True,
-    half_range: float = 40.0,
-    max_evals: int = 100_000,
 ) -> QuadratureResult:
     """The probability ``Int S(xi) J(xi) dxi`` for a separability curve.
 
@@ -192,9 +194,9 @@ def separability_probability(
         try:
             res = _adaptive(
                 integrand,
-                _segment_points(0.0, half_range, {1.0, 5.0, *(abs(e) for e in extra)}),
+                _segment_points(0.0, _HALF_RANGE, {1.0, 5.0, *(abs(e) for e in extra)}),
                 0.5 * tol,
-                max_evals,
+                _MAX_EVALS,
             )
         except QuadratureError as exc:
             # carry the doubled best estimate, not the half-line one
@@ -206,9 +208,7 @@ def separability_probability(
                 ),
             ) from None
         return QuadratureResult(2.0 * res.value, 2.0 * res.abs_err_est, res.evals)
-    return integrate_real_line(
-        integrand, tol, half_range=half_range, breakpoints=extra, max_evals=max_evals
-    )
+    return integrate_real_line(integrand, tol, breakpoints=extra)
 
 
 #: Exact value of the squared-candidate probability in the beta = 2 ensemble.

@@ -14,7 +14,7 @@ an even probability density on the real line.  ``N`` vanishes through order
 ``xi^7``, cancelling the ninth-order ``csch`` pole; near zero both the naive
 numerator and the quotient are evaluated from exact-rational Maclaurin
 coefficients generated at import time, so every path keeps full double
-precision (the default splice radius is 0.05, guarded by an overlap test).
+precision (the splice radius is 0.05, guarded by an overlap test).
 
 Curve tags
 ----------
@@ -376,13 +376,13 @@ def _jacobian_direct(x) -> np.ndarray:
     return out
 
 
-def jacobian_xi(xi, series_cutoff: float = 0.05) -> np.ndarray:
+def jacobian_xi(xi) -> np.ndarray:
     """Vectorized beta = 1 density J(xi); even, positive, integrates to 1."""
     x = np.asarray(xi, dtype=float)
     shape = x.shape
     x = np.atleast_1d(x)
     out = np.empty_like(x)
-    small = np.abs(x) < series_cutoff
+    small = np.abs(x) < 0.05  # the splice radius
     if np.any(small):
         out[small] = _jacobian_series(x[small])
     if np.any(~small):

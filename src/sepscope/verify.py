@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,11 +29,14 @@ from scipy.stats import binom
 from . import estimator, quadrature, sampling, sepfun
 from .qstate import (
     BlooreCoords,
-    corr_det3,
+    corr_det4,
+    corr_matrices,
+    corr_minor,
     from_bloore,
     is_separable,
     partial_transpose,
     pt_corr_det4,
+    pt_correlations,
     werner,
     xi_from_diag,
 )
@@ -126,8 +130,8 @@ def _density_normalization(workers, tol, bound):
 
 def _series_overlap(workers, bound):
     xs = np.linspace(0.02, 0.12, 401)
-    near = sepfun.jacobian_xi(xs, series_cutoff=1.0)
-    far = sepfun.jacobian_xi(xs, series_cutoff=1e-9)
+    near = sepfun._jacobian_series(xs)
+    far = sepfun._jacobian_direct(xs)
     rel = float(np.max(np.abs(near - far) / far))
     return rel <= bound, f"series vs direct max rel diff {rel:.2e} on [0.02, 0.12]"
 
@@ -250,20 +254,15 @@ def _pt_minor_implications(workers, seed, n, states, tol):
     if len(z) < states:
         return False, f"only {len(z)} states among {n} draws, need {states}"
     diag, z = diag[:states], z[:states]
-    xi = xi_from_diag(diag)
-    e = np.exp(xi)
-    s12, s13, s14 = z[:, 0], z[:, 1], z[:, 3] / e
-    s23, s24, s34 = z[:, 2] * e, z[:, 4], z[:, 5]
-    det4 = pt_corr_det4(z, xi)
-    minors3 = (
-        (corr_det3(s23, s24, s34) >= -tol)
-        & (corr_det3(s13, s14, s34) >= -tol)
-        & (corr_det3(s12, s14, s24) >= -tol)
-        & (corr_det3(s12, s13, s23) >= -tol)
-    )
-    minors2 = np.ones(len(z), dtype=bool)
-    for s in (s12, s13, s14, s23, s24, s34):
-        minors2 &= 1.0 - s * s >= -tol
+    s = pt_correlations(z, xi_from_diag(diag))
+    det4 = corr_det4(*s)
+
+    def minors(size):
+        return np.logical_and.reduce(
+            [corr_minor(s, rows) >= -tol for rows in combinations(range(4), size)]
+        )
+
+    minors3, minors2 = minors(3), minors(2)
     chain = int(np.sum((det4 >= 0.0) & ~minors3) + np.sum(minors3 & ~minors2))
 
     # two diagonals with the same xi give the same verdict
@@ -280,14 +279,7 @@ def _pt_minor_implications(workers, seed, n, states, tol):
     clear = (np.abs(det_a) > 1e-12) & (np.abs(det_b) > 1e-12)
     mismatch = int(np.sum((det_a[clear] >= 0) != (det_b[clear] >= 0)))
 
-    pt = np.zeros((len(z), 4, 4))
-    idx = np.arange(4)
-    pt[:, idx, idx] = 1.0
-    for i, j, s in ((0, 1, s12), (0, 2, s13), (0, 3, s14),
-                    (1, 2, s23), (1, 3, s24), (2, 3, s34)):
-        pt[:, i, j] = s
-        pt[:, j, i] = s
-    ev_min = np.linalg.eigvalsh(pt)[:, 0]
+    ev_min = np.linalg.eigvalsh(corr_matrices(s))[:, 0]
     informative = np.abs(det4) > 1e-10
     sign_mismatch = int(np.sum(
         (det4[informative] >= 0) != (ev_min[informative] >= -1e-12)
@@ -351,14 +343,16 @@ def binomial_two_sided_pvalue(k: int, n: int, p: float) -> float:
     return float(min(1.0, 2.0 * min(lo, hi)))
 
 
-def _xi_counts(seed, n, edges):
+def _xi_counts(workers, seed, n, edges):
     """Histogram of xi over ``n`` stream points, positive or not, drawn and
-    mapped one batch at a time; the counts of the batches add."""
-    spec = _prng(seed)
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    for _, off, size in estimator._batch_plan(n):
-        diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, off))
-        counts += np.histogram(xi_from_diag(diag), bins=edges)[0]
+    mapped one batch at a time by the estimators' batch driver; the counts
+    of the batches add."""
+
+    def kernel(spec, offset, size):
+        diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, offset))
+        return (np.histogram(xi_from_diag(diag), bins=edges)[0],)
+
+    [(counts,)], _ = estimator._estimate(_prng(seed), n, 9, kernel, workers)
     return counts
 
 
@@ -366,7 +360,7 @@ def _xi_histogram(workers, seed, n, z_max):
     """Sampled xi against bin probabilities of the density, integrated by
     scipy's quad rather than this package's own quadrature."""
     edges = np.linspace(-6.0, 6.0, 61)
-    counts = _xi_counts(seed, n, edges)
+    counts = _xi_counts(workers, seed, n, edges)
     probs = np.array([
         quad(sepfun.jacobian_xi, a, b, epsabs=1e-13, epsrel=1e-12)[0]
         for a, b in zip(edges[:-1], edges[1:])

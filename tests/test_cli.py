@@ -268,6 +268,32 @@ def test_residual_needs_exactly_one_tag(tmp_path):
                  "--tags", "dom,int"]) == 3
 
 
+@pytest.mark.parametrize("min_count", ["0", "-3"])
+def test_residual_min_count_below_one_is_a_numeric_error(tmp_path, capsys, min_count):
+    """An empty bin has no ratio, so a threshold that admits one is refused
+    rather than summarized as nan."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--out", str(hist_path)]) == 0
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(hist_path), "--tags", "conjecture",
+                 f"--min-count={min_count}"]) == 3
+    assert "min_count must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, notes", [
+    ("20000", ["note: each lds replicate reads 20000 points, not a power of two, "
+               "so its Sobol points lose their balance properties"]),
+    ("16384", []),
+], ids=["unbalanced-sobol", "power-of-two"])
+def test_desf_lds_notes_unbalanced_sobol(tmp_path, capsys, n, notes):
+    out = tmp_path / "hist.csv"
+    assert main(["desf", "--engine", "lds", "--n", n, "--bins", "11",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "wall time" in err
+    assert [line for line in err.splitlines() if line.startswith("note: ")] == notes
+
+
 def _resealed(text, data):
     """``text``'s first two lines with the digest recomputed for ``data``."""
     title, man_line = text.split("\n")[:2]

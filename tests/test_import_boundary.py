@@ -3,8 +3,9 @@ not import them.
 
 Importing ``scipy.stats`` takes about a second, most of a cold start, so
 only the code paths that use it load it: the Sobol stream and ``verify``.
-The check runs ``main`` in a fresh interpreter, since this test session
-has long loaded both modules.
+The state algebra in ``sepscope.qstate`` loads no scipy module at all.
+Each check runs in a fresh interpreter, since this test session has long
+loaded these modules.
 """
 
 import json
@@ -56,3 +57,16 @@ def test_only_sobol_and_verify_load_scipy_stats(tmp_path):
     }
     # the first Sobol draw loads scipy.stats, which brings scipy.integrate
     assert lds == ["scipy.stats", "scipy.integrate"]
+
+
+def test_qstate_loads_no_scipy():
+    """The state algebra, partial transpose included, is numpy alone."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sepscope.qstate; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from sepscope.qstate import (
     principal_minors_2x2,
     principal_minors_3x3,
     pt_corr_det4,
+    pt_correlations,
     to_bloore,
     werner,
     xi_from_diag,
@@ -267,6 +268,20 @@ def test_pt_corr_det4_matches_full_determinant():
     full = np.linalg.det(_pt_batch(states))
     scaled = pt_corr_det4(z, xi) * diag.prod(axis=1)
     assert np.max(np.abs(full - scaled)) < 1e-13
+
+
+def test_pt_correlations_are_the_dense_partial_transpose():
+    """Scaled back by sqrt(d_i d_j), each PT correlation is the matching
+    entry of the densely partially-transposed state."""
+    rng = np.random.default_rng(46)
+    diag, z = _random_coords(rng, 2000)
+    pt = _pt_batch(assemble_states(diag, z))
+    cols = pt_correlations(z, xi_from_diag(diag))
+    assert len(cols) == 6
+    for k, (i, j) in enumerate(Z_PAIRS):
+        scaled = cols[k] * np.sqrt(diag[:, i] * diag[:, j])
+        assert np.allclose(scaled, pt[:, i, j], rtol=1e-14, atol=0.0), (i, j)
+        assert np.array_equal(pt[:, i, j], pt[:, j, i])
 
 
 def test_z_psd_mask_matches_eigensolve():

@@ -52,14 +52,15 @@ def test_psd_sample_matches_map_then_mask(monkeypatch):
 
 
 def test_xi_counts_add_over_batches(monkeypatch):
-    """Drawn and mapped one batch at a time, the xi histogram has the counts
-    of one map over the whole stream."""
+    """Drawn and mapped one batch at a time, on one worker or two, the xi
+    histogram has the counts of one map over the whole stream."""
     edges = np.linspace(-6.0, 6.0, 61)
     diag, _ = cube_to_bloore_batch(next_points(verify._prng(303), 3500))
     whole = np.histogram(xi_from_diag(diag), bins=edges)[0]
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     assert len(estimator._batch_plan(3500)) == 4
-    assert np.array_equal(verify._xi_counts(303, 3500, edges), whole)
+    for workers in (1, 2):
+        assert np.array_equal(verify._xi_counts(workers, 303, 3500, edges), whole)
 
 
 def test_binomial_two_sided_pvalue():
