@@ -369,19 +369,22 @@ def _load_desf_csv(path: str) -> DesfHistogram:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_curves(args) -> int:
-    if args.residual is not None:
-        return _cmd_curves_residual(args)
-    tags = [t.strip() for t in args.tags.split(",")] if args.tags else []
-    if not tags:
-        tags = list(TAGS) + ["jacobian"]
-    valid = set(TAGS) | {"jacobian"}
+def _check_tags(tags, valid) -> None:
     for tag in tags:
         if tag not in valid:
             raise _UsageError(
                 f"unknown curve tag {tag!r}; valid tags: "
                 + ", ".join(sorted(valid))
             )
+
+
+def _cmd_curves(args) -> int:
+    if args.residual is not None:
+        return _cmd_curves_residual(args)
+    tags = [t.strip() for t in args.tags.split(",")] if args.tags else []
+    if not tags:
+        tags = list(TAGS) + ["jacobian"]
+    _check_tags(tags, set(TAGS) | {"jacobian"})
     if args.beta != 1.0 and any(t != "jacobian" for t in tags):
         raise ValueError(
             "--beta only applies to the 'jacobian' column; the closed-form "
@@ -421,6 +424,7 @@ def _cmd_curves_residual(args) -> int:
     if not args.tags or "," in args.tags:
         raise ValueError("residual mode needs exactly one tag via --tags")
     tag = args.tags.strip()
+    _check_tags([tag], set(TAGS))
     hist = _load_desf_csv(args.residual)
     cmp_ = compare_curves(hist, DesfCurve(tag), min_count=args.min_count)
     params = {

@@ -15,7 +15,7 @@ mask, keeping only the cube points whose ``z`` is a positive correlation
 matrix.  Positivity never depends on the diagonal, so the state estimators
 then run the expensive cube-to-state map on those survivors alone
 (``_states``), about 18% of the stream, before the separability test and
-the tally; the minor estimator needs correlations only and skips the map.
+the tally; the minor estimator takes the survivors' ``z`` and skips the map.
 The map is row-wise, so masking first changes no tally.
 
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
@@ -207,16 +207,18 @@ def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
 
 
 def _positive_rows(spec, offset, size):
-    """Stream one batch and keep the points whose correlations -- the last
-    six coordinates, mapped by ``z = 2u - 1`` -- form a positive state."""
+    """Stream one batch; return the points whose correlations -- the last six
+    coordinates, mapped by ``z = 2u - 1`` -- form a positive state, and their z."""
     pts = next_points(spec, size, offset)
-    return pts[z_psd_mask(2.0 * pts[:, -6:] - 1.0)]
+    z = 2.0 * pts[:, -6:] - 1.0
+    keep = z_psd_mask(z)
+    return pts[keep], z[keep]
 
 
 def _states(spec, offset, size):
     """Stream and mask one batch, then map only its survivors: the
     ``(diag, z)`` of its positive states."""
-    return cube_to_bloore_batch(_positive_rows(spec, offset, size))
+    return cube_to_bloore_batch(_positive_rows(spec, offset, size)[0])
 
 
 def _pt_separable(diag, z):
@@ -453,7 +455,7 @@ def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarr
 
 def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
     def kernel(spec, offset, size):
-        z = 2.0 * _positive_rows(spec, offset, size) - 1.0
+        _, z = _positive_rows(spec, offset, size)
         counts = [int(minor_event_mask(z, xi, minor).sum()) for xi in xi_grid]
         return (len(z), np.asarray(counts, dtype=np.int64))
 

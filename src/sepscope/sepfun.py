@@ -29,7 +29,12 @@ Curve tags
 ``product_int``    product three_right(xi) * three_right(-xi)
 ``empirical``      piecewise-constant histogram curve (midpoint evaluation)
 
-All closed-form evaluation is vectorized; scalars go through the same code.
+The closed-form curves are one table, ``_CURVES``: each tag maps to its
+branch at xi = a > 0, its branch at xi = -a, and its exact intercept at
+xi = 0; ``TAGS``, ``EVEN_TAGS``, :func:`curve_at_zero` and
+:func:`eval_desf_array` all read it.  A NaN ``xi`` gives NaN for every
+closed-form tag.  All closed-form evaluation is vectorized; scalars go
+through the same code.
 """
 
 from __future__ import annotations
@@ -56,44 +61,102 @@ __all__ = [
     "curve_at_zero",
 ]
 
-TAGS = (
-    "dom",
-    "int",
-    "three_right",
-    "three_left",
-    "two_right",
-    "two_left",
-    "conjecture",
-    "previous",
-    "product_int",
-)
-
-#: Tags whose curves are even functions of xi.
-EVEN_TAGS = frozenset({"dom", "int", "conjecture", "previous", "product_int"})
-
 _PI2 = math.pi**2
 
 #: J(0) = 16384 / (2835 pi^2), the even limit of the density at the origin.
 JACOBIAN_AT_ZERO = 16384.0 / (2835.0 * _PI2)
 
-# Exact intercepts (two-sided limits) per tag; stored rather than computed by
-# branch so the piecewise formulas never see an indeterminate 0/0.
-_AT_ZERO = {
-    "dom": 1.0,
-    "int": 45.0 * _PI2 / 512.0,
-    "three_right": 45.0 * _PI2 / 512.0,
-    "three_left": 45.0 * _PI2 / 512.0,
-    "two_right": 1.0,
-    "two_left": 1.0,
-    "conjecture": 4095.0 * _PI2 / 65536.0,
-    "previous": 135.0 * _PI2 / 2176.0,
-    "product_int": (45.0 * _PI2 / 512.0) ** 2,
+
+# ---------------------------------------------------------------------------
+# Closed-form branches.  Each takes a = |xi| > 0 and is written overflow-free
+# in terms of decaying exponentials.
+# ---------------------------------------------------------------------------
+
+
+def _dom(a):
+    # Also P(|z_14| <= e^-a) for the box constraint of the 2x2 minor.
+    return 1.5 * np.exp(-a) - 0.5 * np.exp(-3.0 * a)
+
+
+def _int(a):
+    return (9.0 * _PI2 / 2048.0) * (27.0 * np.exp(-a) - 7.0 * np.exp(-3.0 * a))
+
+
+def _conj(a):
+    return (315.0 * _PI2 / 65536.0) * (18.0 * np.exp(-a) - 5.0 * np.exp(-3.0 * a))
+
+
+def _prev(a):
+    return (135.0 * _PI2 / 4352.0) * (3.0 * np.exp(-a) - np.exp(-3.0 * a))
+
+
+# Tail series for the mirrored 3x3 branch: with u = e^-a the branch equals
+# (3 pi / 1024) * F(u) where F(u) = u^-2 sqrt(1-u^2)(2u^4+37u^2+21)
+# + 3 u^-3 (27u^2-7) asin(u) = sum_k c_k u^(2k).  The two u^-2 poles cancel;
+# below u^2 = e^-4 the direct form has lost ~2 digits, so the exact-rational
+# series takes over (its truncation error there is < 1e-27).
+_THREE_LEFT_TAIL = tuple(
+    float(Fraction(p, q))
+    for p, q in [
+        (104, 1), (-36, 5), (-9, 5), (-17, 42), (-27, 176), (-333, 4576),
+        (-329, 8320), (-513, 21760), (-19899, 1323008), (-1573, 155648),
+        (-37323, 5275648), (-192933, 37683200), (-449293, 117964800),
+    ]
+)
+
+_THREE_LEFT_SPLIT = 2.0
+
+
+def _three_branch_neg(a):
+    """``three_right`` at xi = -a < 0 (values rise toward 39 pi/128)."""
+    out = np.empty_like(a)
+    near = a < _THREE_LEFT_SPLIT  # 0 < a < 2: direct closed form
+    if np.any(near):
+        u = np.exp(-a[near])
+        u2 = u * u
+        f = (np.sqrt(1.0 - u2) * (2.0 * u2 * u2 + 37.0 * u2 + 21.0) / u2
+             + 3.0 * (27.0 * u2 - 7.0) * np.arcsin(u) / (u2 * u))
+        out[near] = (3.0 * math.pi / 1024.0) * f
+    far = ~near
+    if np.any(far):
+        u2 = np.exp(-2.0 * a[far])
+        acc = np.full_like(u2, _THREE_LEFT_TAIL[-1])
+        for c in _THREE_LEFT_TAIL[-2::-1]:
+            acc = acc * u2 + c
+        out[far] = (3.0 * math.pi / 1024.0) * acc
+    return out
+
+
+def _product_int(a):
+    return _int(a) * _three_branch_neg(a)
+
+
+_INT_AT_ZERO = 45.0 * _PI2 / 512.0
+
+# tag -> (value at xi = a > 0, value at xi = -a, exact intercept).  The
+# intercepts are two-sided limits, stored so that no branch ever sees an
+# indeterminate 0/0.
+_CURVES = {
+    "dom": (_dom, _dom, 1.0),
+    "int": (_int, _int, _INT_AT_ZERO),
+    "three_right": (_int, _three_branch_neg, _INT_AT_ZERO),
+    "three_left": (_three_branch_neg, _int, _INT_AT_ZERO),
+    "two_right": (_dom, np.ones_like, 1.0),
+    "two_left": (np.ones_like, _dom, 1.0),
+    "conjecture": (_conj, _conj, 4095.0 * _PI2 / 65536.0),
+    "previous": (_prev, _prev, 135.0 * _PI2 / 2176.0),
+    "product_int": (_product_int, _product_int, _INT_AT_ZERO**2),
 }
+
+TAGS = tuple(_CURVES)
+
+#: Tags whose curves are even functions of xi.
+EVEN_TAGS = frozenset(tag for tag, (pos, neg, _) in _CURVES.items() if pos is neg)
 
 
 def curve_at_zero(tag: str) -> float:
     """Exact intercept of a closed-form tag at xi = 0."""
-    return _AT_ZERO[tag]
+    return _CURVES[tag][2]
 
 
 @dataclass(frozen=True)
@@ -138,83 +201,6 @@ class DesfCurve:
         return self.tag in EVEN_TAGS
 
 
-# ---------------------------------------------------------------------------
-# Closed-form branches.  Each helper takes a positive (or sign-correct) array
-# and is written overflow-free in terms of decaying exponentials.
-# ---------------------------------------------------------------------------
-
-
-def _dom_right(x):
-    return 1.5 * np.exp(-x) - 0.5 * np.exp(-3.0 * x)
-
-
-def _int_right(x):
-    return (9.0 * _PI2 / 2048.0) * (27.0 * np.exp(-x) - 7.0 * np.exp(-3.0 * x))
-
-
-def _conj_right(x):
-    return (315.0 * _PI2 / 65536.0) * (18.0 * np.exp(-x) - 5.0 * np.exp(-3.0 * x))
-
-
-def _prev_right(x):
-    return (135.0 * _PI2 / 4352.0) * (3.0 * np.exp(-x) - np.exp(-3.0 * x))
-
-
-def _two_right_pos(x):
-    # P(|z_14| <= e^-x) for the quarter-circle-free box constraint, x > 0.
-    return 0.5 * (3.0 * np.exp(-x) - np.exp(-3.0 * x))
-
-
-# Tail series for the mirrored 3x3 branch: with u = e^xi (xi < 0) the branch
-# equals (3 pi / 1024) * F(u) where F(u) = u^-2 sqrt(1-u^2)(2u^4+37u^2+21)
-# + 3 u^-3 (27u^2-7) asin(u) = sum_k c_k u^(2k).  The two u^-2 poles cancel;
-# below u^2 = e^-4 the direct form has lost ~2 digits, so the exact-rational
-# series takes over (its truncation error there is < 1e-27).
-_THREE_LEFT_TAIL = tuple(
-    float(Fraction(p, q))
-    for p, q in [
-        (104, 1), (-36, 5), (-9, 5), (-17, 42), (-27, 176), (-333, 4576),
-        (-329, 8320), (-513, 21760), (-19899, 1323008), (-1573, 155648),
-        (-37323, 5275648), (-192933, 37683200), (-449293, 117964800),
-    ]
-)
-
-_THREE_LEFT_SPLIT = -2.0
-
-
-def _three_branch_neg(x):
-    """The xi < 0 branch of ``three_right`` (values rise toward 39 pi/128)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    near = x > _THREE_LEFT_SPLIT  # -2 < x < 0: direct closed form
-    if np.any(near):
-        u = np.exp(x[near])
-        u2 = u * u
-        f = (np.sqrt(1.0 - u2) * (2.0 * u2 * u2 + 37.0 * u2 + 21.0) / u2
-             + 3.0 * (27.0 * u2 - 7.0) * np.arcsin(u) / (u2 * u))
-        out[near] = (3.0 * math.pi / 1024.0) * f
-    far = ~near
-    if np.any(far):
-        u2 = np.exp(2.0 * x[far])
-        acc = np.full_like(u2, _THREE_LEFT_TAIL[-1])
-        for c in _THREE_LEFT_TAIL[-2::-1]:
-            acc = acc * u2 + c
-        out[far] = (3.0 * math.pi / 1024.0) * acc
-    return out
-
-
-def _three_right(x):
-    """Full ``three_right`` curve for arbitrary-sign input."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x > 0
-    neg = x < 0
-    out[pos] = _int_right(x[pos])
-    out[neg] = _three_branch_neg(x[neg])
-    out[~(pos | neg)] = _AT_ZERO["three_right"]
-    return out
-
-
 def _eval_empirical(curve: DesfCurve, x: np.ndarray) -> np.ndarray:
     edges, vals = curve.bin_edges, curve.values
     idx = np.searchsorted(edges, x, side="right") - 1
@@ -234,33 +220,13 @@ def eval_desf_array(curve, xi) -> np.ndarray:
     x = np.asarray(xi, dtype=float)
     scalar_shape = x.shape
     x = np.atleast_1d(x)
-    tag = curve.tag
-    if tag == "empirical":
-        out = _eval_empirical(curve, x)
-    elif tag in EVEN_TAGS:
-        ax = np.abs(x)
-        if tag == "dom":
-            out = _dom_right(ax)
-        elif tag == "int":
-            out = _int_right(ax)
-        elif tag == "conjecture":
-            out = _conj_right(ax)
-        elif tag == "previous":
-            out = _prev_right(ax)
-        else:  # product_int
-            out = _three_right(ax) * _three_right(-ax)
-    elif tag == "three_right":
-        out = _three_right(x)
-    elif tag == "three_left":
-        out = _three_right(-x)
-    elif tag in ("two_right", "two_left"):
-        s = x if tag == "two_right" else -x
-        out = np.where(s > 0, _two_right_pos(np.maximum(s, 0.0)), 1.0)
-    else:  # pragma: no cover - tag validation happens at construction
-        raise ValueError(f"unknown tag {tag!r}")
-    out = np.asarray(out, dtype=float)
-    if tag in _AT_ZERO:
-        out[x == 0] = _AT_ZERO[tag]
+    if curve.tag == "empirical":
+        return _eval_empirical(curve, x).reshape(scalar_shape)
+    pos_branch, neg_branch, at_zero = _CURVES[curve.tag]
+    out = np.where(x == 0, at_zero, np.nan)
+    pos, neg = x > 0, x < 0
+    out[pos] = pos_branch(x[pos])
+    out[neg] = neg_branch(-x[neg])
     return out.reshape(scalar_shape)
 
 
@@ -268,8 +234,9 @@ def eval_desf(curve, xi: float) -> float:
     """Value of the curve at ``xi`` (``curve``: DesfCurve or tag string).
 
     Branches are selected by the sign of ``xi``; the xi = 0 value is the
-    stored two-sided limit.  All closed forms are finite, nonnegative and
-    bounded by 1 for every finite input.
+    stored two-sided limit, and a NaN ``xi`` gives NaN for every closed-form
+    tag.  All closed forms are finite, nonnegative and bounded by 1 for
+    every other input, infinities included.
     """
     return float(eval_desf_array(curve, np.array([float(xi)]))[0])
 

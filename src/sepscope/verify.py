@@ -578,6 +578,8 @@ CHECKS = [
           dict(seed=707, n=400_000)),
     Check("stderr-scaling", "quick", _stderr_scaling, dict(seed=808, n=100_000, bound=0.6)),
     Check("worker-count-invariance", "quick", _worker_invariance, dict(seed=909, n=300_000)),
+    Check("worker-count-invariance-multibatch", "full", _worker_invariance,
+          dict(seed=909, n=3 * 2**20 + 12_345)),  # four batches of BATCH_SIZE
     Check("minor-branch-smoke", "quick", _minor_curves,
           dict(minors={"delete:4": 111}, n=200_000, grid=(0.5,), z_max=5.0)),
     Check("minor-curves-and-pairs", "quick", _minor_curves,

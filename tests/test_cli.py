@@ -268,6 +268,17 @@ def test_residual_needs_exactly_one_tag(tmp_path):
                  "--tags", "dom,int"]) == 3
 
 
+@pytest.mark.parametrize("tag", ["nope", "empirical", "jacobian"])
+def test_residual_unknown_tag_is_a_usage_error(tmp_path, capsys, tag):
+    """Residual mode accepts the closed-form tags only, and refuses any
+    other tag as table mode does, before reading the histogram."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--out", str(hist_path)]) == 0
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(hist_path), "--tags", tag]) == 2
+    assert f"unknown curve tag {tag!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("min_count", ["0", "-3"])
 def test_residual_min_count_below_one_is_a_numeric_error(tmp_path, capsys, min_count):
     """An empty bin has no ratio, so a threshold that admits one is refused

@@ -96,6 +96,31 @@ def test_batch_size_never_changes_tallies(monkeypatch):
     assert big == small
 
 
+def _fields(result):
+    return tuple(
+        v.tolist() if isinstance(v, np.ndarray) else v for v in vars(result).values()
+    )
+
+
+_PARTITIONED_RUNS = {
+    "abs-sep": lambda w: _fields(estimate_abs_sep_probability(_prng(66), 20_000, workers=w)),
+    "desf-prng": lambda w: _fields(estimate_desf(_prng(67), 20_000, bins=15, workers=w)),
+    "desf-lds": lambda w: _fields(estimate_desf(_lds(67), 20_000, bins=15, workers=w)),
+    "minor": lambda w: _fields(estimate_minor_desf(
+        _prng(68, dimension=6), 20_000, MinorSelector.parse("delete:2"),
+        [-1.0, 0.0, 0.5], workers=w)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("batch_size", [1000, 4096, 7919])
+@pytest.mark.parametrize("run", _PARTITIONED_RUNS.values(), ids=_PARTITIONED_RUNS.keys())
+def test_batch_partition_never_changes_tallies(monkeypatch, run, batch_size, workers):
+    whole = run(1)  # 20_000 points fit in one default batch
+    monkeypatch.setattr(estimator, "BATCH_SIZE", batch_size)
+    assert run(workers) == whole
+
+
 def test_batch_plan_covers_range(monkeypatch):
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     plan = estimator._batch_plan(2501)

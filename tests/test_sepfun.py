@@ -1,5 +1,6 @@
 """Curve-layer tests: closed forms, intercepts, and the xi density."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -49,6 +50,45 @@ def test_scalar_and_array_paths_agree():
         vals = eval_desf_array(tag, _GRID[::50])
         for x, v in zip(_GRID[::50], vals):
             assert eval_desf(DesfCurve(tag), float(x)) == v
+
+
+# The splice of the mirrored 3x3 branch at xi = -2 and its neighbours, signed
+# zeros, subnormals, arguments whose exponentials underflow (to subnormal and
+# to zero), and the infinities.
+_PIN_GRID = np.concatenate([
+    np.linspace(-60.0, 60.0, 2401),
+    np.nextafter(-2.0, [-np.inf, np.inf]), [-2.0, 2.0],
+    [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, -np.finfo(float).tiny],
+    [250.0, -250.0, 400.0, -400.0, 740.0, -740.0, 800.0, -800.0,
+     1e300, -1e300, np.inf, -np.inf],
+])
+
+_PINNED_SHA256 = {
+    "dom": "25c41c2d68550bb9daaf885e80a7ad02a3c6256ec39da1872399ceff13d7ab28",
+    "int": "9bdaa839f20ed0243ac93fc8091dae554a6e0f14249b7e037c5ccf5da623b834",
+    "three_right": "3fe3ca6b2c2d800b464f1a7525fea014920c83bd581cb3ab826b6f0711f8ce14",
+    "three_left": "d7d59b6249f830f8cc548e4e384409a1fa04a09acf2cfff773f08e2087886850",
+    "two_right": "5c89ec79979703e2f16afe47c13bcd9050f351bdfcb8d64a809a1ca2b6f5a677",
+    "two_left": "fc2162766d8f19a4a1f06c0c32b17a6634c4c3b8aad1f3427e9fa9d1999430fa",
+    "conjecture": "7182ca0abf9ec1dbe9b5558d54c66d79699c353f4f38a891ef33a75b28028698",
+    "previous": "e5c0a7c2e6b36fb84178c55438b71e64ed707ab7dad26543d81e1579a135f1df",
+    "product_int": "61b80ca2adf81b3d8e3a6e79fe330246dd20ef0113957bca168579a842a83d4b",
+}
+
+
+def test_curve_values_are_pinned():
+    """Curve bytes recorded from a known-good build: any restructure of the
+    closed forms must reproduce every value bit for bit."""
+    assert tuple(_PINNED_SHA256) == TAGS
+    for tag, want in _PINNED_SHA256.items():
+        got = hashlib.sha256(eval_desf_array(tag, _PIN_GRID).tobytes()).hexdigest()
+        assert got == want, tag
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_nan_xi_gives_nan(tag):
+    assert np.isnan(eval_desf_array(tag, [np.nan])).all()
+    assert math.isnan(eval_desf(tag, math.nan))
 
 
 def test_empirical_half_open_bins():
