@@ -16,10 +16,11 @@ Subcommands
 Outputs are deterministic byte-for-byte for fixed parameters: the worker
 count never appears in an output file, and wall-clock timing goes to
 stderr.  Every CSV/JSON payload embeds a manifest whose ``output_sha256``
-is the digest of the data section that follows it.
+is the digest of the data section that follows it: ``_emit`` writes every
+artifact, and ``_read_artifact``, its inverse, reads one back.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/validation error,
-4 verification failure.
+Exit codes: 0 success, 2 usage error, 3 numeric/validation error (an
+unreadable or unwritable path included), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -82,42 +83,66 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _manifest(subcommand: str, params: dict, sequence, sha: str) -> dict:
-    return {
+def _emit(args, subcommand, params, sequence, header, rows, data, preamble=()) -> int:
+    """Write one artifact in ``args.format``: the CSV ``# preamble`` lines,
+    ``header`` and ``rows``, or the JSON object ``data``, under a manifest
+    whose ``output_sha256`` is the digest of that data section.
+    :func:`_read_artifact` is its inverse."""
+    as_json = args.format == "json"
+    if as_json:
+        body = _canonical(data)
+    else:
+        buf = io.StringIO()
+        for line in preamble:
+            buf.write(f"# {line}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        body = buf.getvalue()
+    manifest = {
         "tool": "sepscope",
         "version": __version__,
         "subcommand": subcommand,
-        "parameters": params,
+        "parameters": {**params, "format": args.format},
         "sequence": sequence,
-        "output_sha256": sha,
+        "output_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
     }
-
-
-def _emit_csv(args, subcommand, params, sequence, header, rows, preamble=()):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for line in preamble:
-        buf.write(f"# {line}\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    data = buf.getvalue()
-    sha = hashlib.sha256(data.encode("utf-8")).hexdigest()
-    manifest = _manifest(subcommand, params, sequence, sha)
-    text = (
-        f"# sepscope {__version__} {subcommand}\n"
-        f"# manifest: {_canonical(manifest)}\n" + data
-    )
+    if as_json:
+        payload = {"manifest": manifest, "data": data}
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    else:
+        text = (
+            f"# sepscope {__version__} {subcommand}\n"
+            f"# manifest: {_canonical(manifest)}\n" + body
+        )
     _write_out(args.out, text)
+    return _EXIT_OK
 
 
-def _emit_json(args, subcommand, params, sequence, data):
-    sha = hashlib.sha256(_canonical(data).encode("utf-8")).hexdigest()
-    payload = {
-        "manifest": _manifest(subcommand, params, sequence, sha),
-        "data": data,
-    }
-    _write_out(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _read_artifact(path: str):
+    """``(manifest, data)`` of a file written by :func:`_emit`: for JSON,
+    ``data`` is the parsed object; for CSV, the text after the manifest line.
+
+    The data must match the manifest's ``output_sha256``; otherwise
+    ``ValueError``.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if text.startswith("{"):
+        payload = json.loads(text)
+        manifest, data = payload.get("manifest"), payload.get("data")
+        body = _canonical(data)
+    else:
+        _, _, rest = text.partition("\n")
+        man_line, _, data = rest.partition("\n")
+        if not man_line.startswith("# manifest: "):
+            raise ValueError(f"{path} has no manifest line")
+        manifest = json.loads(man_line[len("# manifest: "):])
+        body = data
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    if not isinstance(manifest, dict) or manifest.get("output_sha256") != digest:
+        raise ValueError(f"{path}: the data does not match its manifest's digest")
+    return manifest, data
 
 
 def _write_out(out, text: str):
@@ -128,19 +153,14 @@ def _write_out(out, text: str):
             fh.write(text)
 
 
-def _sequence_spec(args, dimension=9) -> SequenceSpec:
-    return SequenceSpec(
-        engine=_ENGINE_NAMES[args.engine],
-        seed=args.seed,
-        dimension=dimension,
-        scramble=not args.no_scramble,
-    )
+def _sequence_spec(args) -> SequenceSpec:
+    return SequenceSpec(_ENGINE_NAMES[args.engine], args.seed, dimension=9,
+                        scramble=not args.no_scramble)
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        w = args.workers
-    else:
+    w = args.workers
+    if w is None:
         w = int(os.environ.get("SEPSCOPE_WORKERS", "1"))
     if w < 1:
         raise ValueError(f"workers must be >= 1, got {w}")
@@ -169,24 +189,15 @@ def _cmd_bounds(args) -> int:
         "conjecture_sq_beta2", SPECULATION_REF_EXPR, SPECULATION_REF_VALUE,
         complex_speculation_probability, max(args.tol, 1e-10),
     ))
-    header = (
-        "tag", "ref_expr", "ref_value", "value",
-        "abs_err_est", "evals", "abs_diff", "half", "converged",
-    )
+    header = ("tag", "ref_expr", "ref_value", "value",
+              "abs_err_est", "evals", "abs_diff", "half", "converged")
     out_rows = [
-        (
-            r.tag, r.ref_expr, r.ref_value, r.result.value,
-            r.result.abs_err_est, r.result.evals, r.diff, r.half, r.converged,
-        )
+        (r.tag, r.ref_expr, r.ref_value, r.result.value,
+         r.result.abs_err_est, r.result.evals, r.diff, r.half, r.converged)
         for r in rows
     ]
-    params = {"tol": args.tol, "format": args.format}
-    if args.format == "json":
-        data = {"rows": [dict(zip(header, row)) for row in out_rows]}
-        _emit_json(args, "bounds", params, None, data)
-    else:
-        _emit_csv(args, "bounds", params, None, header, out_rows)
-    return _EXIT_OK
+    data = {"rows": [dict(zip(header, row)) for row in out_rows]}
+    return _emit(args, "bounds", {"tol": args.tol}, None, header, out_rows, data)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +238,7 @@ def _cmd_estimate(args) -> int:
     n_replicates = len(res.replicate_means) if res.replicate_means else 1
     for note in _split_notes(spec, args.n, n_replicates, res.n_total):
         print(f"note: {note}", file=sys.stderr)
-    params = {
-        "target": args.target,
-        "n": args.n,
-        "replicates": n_replicates,
-        "format": args.format,
-    }
-    sequence = spec.to_dict()
+    params = {"target": args.target, "n": args.n, "replicates": n_replicates}
     header = (
         "target", "mean", "stderr", "n_effective", "n_total",
         "ci95_lo", "ci95_hi", "replicates",
@@ -242,14 +247,10 @@ def _cmd_estimate(args) -> int:
         args.target, res.mean, res.stderr, res.n_effective, res.n_total,
         res.ci95[0], res.ci95[1], n_replicates,
     )
-    if args.format == "json":
-        data = dict(zip(header, row))
-        if res.replicate_means is not None:
-            data["replicate_means"] = list(res.replicate_means)
-        _emit_json(args, "estimate", params, sequence, data)
-    else:
-        _emit_csv(args, "estimate", params, sequence, header, [row])
-    return _EXIT_OK
+    data = dict(zip(header, row))
+    if res.replicate_means is not None:
+        data["replicate_means"] = list(res.replicate_means)
+    return _emit(args, "estimate", params, spec.to_dict(), header, [row], data)
 
 
 # ---------------------------------------------------------------------------
@@ -268,69 +269,41 @@ def _cmd_desf(args) -> int:
     print(f"wall time: {dt:.2f} s", file=sys.stderr)
     for note in _split_notes(spec, args.n, 1, args.n):
         print(f"note: {note}", file=sys.stderr)
-    params = {
-        "n": args.n,
-        "bins": args.bins,
-        "ximax": args.ximax,
-        "format": args.format,
-    }
-    sequence = spec.to_dict()
+    params = {"n": args.n, "bins": args.bins, "ximax": args.ximax}
     header = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
-    mids, ratio, se = hist.xi_mid, hist.ratio, hist.stderr
-    rows = [
-        (
-            hist.bin_edges[i], hist.bin_edges[i + 1], mids[i],
-            int(hist.n_psd[i]), int(hist.n_sep[i]),
-            ratio[i], se[i],
-        )
-        for i in range(len(mids))
-    ]
+    edges = hist.bin_edges
+    rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd.tolist(),
+               hist.n_sep.tolist(), hist.ratio, hist.stderr)
     outside = (
         f"outside: n_psd={hist.n_psd_outside} n_sep={hist.n_sep_outside} "
         f"n_total={hist.n_total}"
     )
-    if args.format == "json":
-        data = {
-            "bin_edges": [float(e) for e in hist.bin_edges],
-            "n_psd": [int(v) for v in hist.n_psd],
-            "n_sep": [int(v) for v in hist.n_sep],
-            "n_psd_outside": hist.n_psd_outside,
-            "n_sep_outside": hist.n_sep_outside,
-            "n_total": hist.n_total,
-        }
-        _emit_json(args, "desf", params, sequence, data)
-    else:
-        _emit_csv(args, "desf", params, sequence, header, rows, preamble=(outside,))
-    return _EXIT_OK
+    data = {
+        "bin_edges": edges.tolist(),
+        "n_psd": hist.n_psd.tolist(),
+        "n_sep": hist.n_sep.tolist(),
+        "n_psd_outside": hist.n_psd_outside,
+        "n_sep_outside": hist.n_sep_outside,
+        "n_total": hist.n_total,
+    }
+    return _emit(args, "desf", params, spec.to_dict(), header, rows, data,
+                 preamble=(outside,))
 
 
-def _load_desf_csv(path: str) -> DesfHistogram:
-    """Read back a histogram written by ``desf --format csv``.
+_DESF_FIELDS = (
+    "bin_edges", "n_psd", "n_sep", "n_psd_outside", "n_sep_outside", "n_total",
+)
 
-    The data section must match the ``output_sha256`` of its manifest, and
-    every row must carry every column; otherwise ``ValueError``.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    _, _, rest = text.partition("\n")
-    man_line, _, data = rest.partition("\n")
-    if not man_line.startswith("# manifest: "):
-        raise ValueError(f"{path} has no manifest line")
-    manifest = json.loads(man_line[len("# manifest: "):])
-    digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
-    if not isinstance(manifest, dict) or manifest.get("output_sha256") != digest:
-        raise ValueError(f"{path}: the data does not match its manifest's digest")
-    outside = {"n_psd": 0, "n_sep": 0, "n_total": 0}
-    body = []
-    for line in data.splitlines():
-        if line.startswith("#"):
-            stripped = line.lstrip("# ").strip()
-            if stripped.startswith("outside:"):
-                for part in stripped[len("outside:"):].split():
-                    key, val = part.split("=")
-                    outside[key] = int(val)
-            continue
-        if line:
+
+def _desf_csv_fields(path: str, text: str) -> dict:
+    """The fields of a ``desf`` CSV data section, keyed as its JSON data is."""
+    fields, body = {}, []
+    for line in text.splitlines():
+        if line.startswith("# outside: "):
+            for part in line[len("# outside: "):].split():
+                key, val = part.split("=")
+                fields[key if key == "n_total" else f"{key}_outside"] = int(val)
+        elif line and not line.startswith("#"):
             body.append(line)
     if len(body) < 2:
         raise ValueError(f"no data rows in {path}")
@@ -340,28 +313,48 @@ def _load_desf_csv(path: str) -> DesfHistogram:
     for need in ("bin_lo", "bin_hi", "n_psd", "n_sep"):
         if need not in idx:
             raise ValueError(f"{path} lacks required column {need!r}")
-    lows, highs, n_psd, n_sep = [], [], [], []
-    for row in reader:
+    rows = list(reader)
+    for row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: a row has {len(row)} columns, the header {len(header)}"
             )
-        lows.append(float(row[idx["bin_lo"]]))
-        highs.append(float(row[idx["bin_hi"]]))
-        n_psd.append(int(row[idx["n_psd"]]))
-        n_sep.append(int(row[idx["n_sep"]]))
-    edges = np.asarray(lows + [highs[-1]])
-    n_total = outside["n_total"]
-    if n_total == 0:
-        n_total = int(sum(n_psd)) + outside["n_psd"]
-    return DesfHistogram(
-        bin_edges=edges,
-        n_psd=np.asarray(n_psd, dtype=np.int64),
-        n_sep=np.asarray(n_sep, dtype=np.int64),
-        n_psd_outside=outside["n_psd"],
-        n_sep_outside=outside["n_sep"],
-        n_total=n_total,
-    )
+    highs = [float(row[idx["bin_hi"]]) for row in rows]
+    fields["bin_edges"] = [float(row[idx["bin_lo"]]) for row in rows] + highs[-1:]
+    fields["n_psd"] = [int(row[idx["n_psd"]]) for row in rows]
+    fields["n_sep"] = [int(row[idx["n_sep"]]) for row in rows]
+    return fields
+
+
+def _load_desf(path: str) -> DesfHistogram:
+    """Read back a histogram written by ``desf``, in either format.
+
+    On top of :func:`_read_artifact`'s digest check, the artifact must come
+    from ``desf``, carry every field of its JSON data (a CSV its
+    ``# outside:`` line), and have one more bin edge than each count
+    column; otherwise ``ValueError``.
+    """
+    manifest, data = _read_artifact(path)
+    if manifest.get("subcommand") != "desf":
+        raise ValueError(
+            f"{path} is a {manifest.get('subcommand')!r} artifact, not a desf histogram"
+        )
+    if isinstance(data, str):
+        data = _desf_csv_fields(path, data)
+    missing = [k for k in _DESF_FIELDS if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise ValueError(f"{path} lacks the histogram fields {', '.join(missing)}")
+    edges = np.asarray(data["bin_edges"], dtype=float)
+    n_psd = np.asarray(data["n_psd"], dtype=np.int64)
+    n_sep = np.asarray(data["n_sep"], dtype=np.int64)
+    if not (edges.ndim == n_psd.ndim == n_sep.ndim == 1
+            and edges.size == n_psd.size + 1 == n_sep.size + 1):
+        raise ValueError(
+            f"{path}: {edges.size} bin edges for {n_psd.size} n_psd "
+            f"and {n_sep.size} n_sep counts"
+        )
+    totals = {k: int(data[k]) for k in ("n_psd_outside", "n_sep_outside", "n_total")}
+    return DesfHistogram(bin_edges=edges, n_psd=n_psd, n_sep=n_sep, **totals)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +393,11 @@ def _cmd_curves(args) -> int:
                 cols[tag] = jacobian_general_beta(args.beta, grid, tol=args.tol)
         else:
             cols[tag] = eval_desf_array(DesfCurve(tag), grid)
-    params = {
-        "tags": tags,
-        "grid": args.grid,
-        "beta": args.beta,
-        "tol": args.tol,
-        "format": args.format,
-    }
+    params = {"tags": tags, "grid": args.grid, "beta": args.beta, "tol": args.tol}
     header = ["xi"] + tags
-    rows = [
-        [grid[i]] + [float(cols[t][i]) for t in tags] for i in range(len(grid))
-    ]
-    if args.format == "json":
-        data = {"xi": [float(x) for x in grid]}
-        data.update({t: [float(v) for v in cols[t]] for t in tags})
-        _emit_json(args, "curves", params, None, data)
-    else:
-        _emit_csv(args, "curves", params, None, header, rows)
-    return _EXIT_OK
+    rows = zip(grid, *(cols[t] for t in tags))
+    data = {"xi": grid.tolist(), **{t: cols[t].tolist() for t in tags}}
+    return _emit(args, "curves", params, None, header, rows, data)
 
 
 def _cmd_curves_residual(args) -> int:
@@ -425,14 +405,10 @@ def _cmd_curves_residual(args) -> int:
         raise ValueError("residual mode needs exactly one tag via --tags")
     tag = args.tags.strip()
     _check_tags([tag], set(TAGS))
-    hist = _load_desf_csv(args.residual)
+    hist = _load_desf(args.residual)
     cmp_ = compare_curves(hist, DesfCurve(tag), min_count=args.min_count)
-    params = {
-        "tags": [tag],
-        "residual": os.path.basename(args.residual),
-        "min_count": args.min_count,
-        "format": args.format,
-    }
+    params = {"tags": [tag], "residual": os.path.basename(args.residual),
+              "min_count": args.min_count}
     summary = (
         f"summary: max_abs_z={_fmt(cmp_.max_abs_z)} "
         f"mean_signed={_fmt(cmp_.mean_signed)} "
@@ -440,28 +416,19 @@ def _cmd_curves_residual(args) -> int:
     )
     header = ("xi_mid", "ratio", "ref", "residual", "sigma", "zscore")
     ref = eval_desf_array(DesfCurve(tag), hist.xi_mid)
-    rows = [
-        (
-            hist.xi_mid[i], hist.ratio[i], ref[i],
-            cmp_.residual[i], cmp_.sigma[i], cmp_.zscore[i],
-        )
-        for i in range(len(hist.xi_mid))
-    ]
-    if args.format == "json":
-        data = {
-            "xi_mid": [float(v) for v in hist.xi_mid],
-            "residual": [float(v) for v in cmp_.residual],
-            "sigma": [float(v) for v in cmp_.sigma],
-            "zscore": [float(v) for v in cmp_.zscore],
-            "max_abs_z": cmp_.max_abs_z,
-            "mean_signed": cmp_.mean_signed,
-            "n_used": cmp_.n_used,
-            "n_skipped": cmp_.n_skipped,
-        }
-        _emit_json(args, "curves", params, None, data)
-    else:
-        _emit_csv(args, "curves", params, None, header, rows, preamble=(summary,))
-    return _EXIT_OK
+    rows = zip(hist.xi_mid, hist.ratio, ref, cmp_.residual, cmp_.sigma, cmp_.zscore)
+    data = {
+        "xi_mid": hist.xi_mid.tolist(),
+        "residual": cmp_.residual.tolist(),
+        "sigma": cmp_.sigma.tolist(),
+        "zscore": cmp_.zscore.tolist(),
+        "max_abs_z": cmp_.max_abs_z,
+        "mean_signed": cmp_.mean_signed,
+        "n_used": cmp_.n_used,
+        "n_skipped": cmp_.n_skipped,
+    }
+    return _emit(args, "curves", params, None, header, rows, data,
+                 preamble=(summary,))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=1e-10, help="density quadrature tolerance")
     p.add_argument(
-        "--residual", default=None, metavar="HIST_CSV",
-        help="compare the single --tags curve against a stored desf histogram",
+        "--residual", default=None, metavar="HIST",
+        help="compare the single --tags curve against a stored desf histogram "
+        "(CSV or JSON)",
     )
     p.add_argument(
         "--min-count", type=int, default=10,
@@ -603,14 +571,8 @@ def _attach_grid_values(argv):
     """
     out, it = [], iter(argv)
     for tok in it:
-        if tok == "--grid":
-            value = next(it, None)
-            if value is None:
-                out.append(tok)
-            else:
-                out.append(f"--grid={value}")
-        else:
-            out.append(tok)
+        value = next(it, None) if tok == "--grid" else None
+        out.append(tok if value is None else f"--grid={value}")
     return out
 
 
@@ -624,7 +586,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"sepscope: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
-    except (SepscopeError, ValueError) as exc:
+    except (SepscopeError, ValueError, OSError) as exc:
         print(f"sepscope: error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 

@@ -237,6 +237,12 @@ def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
 
     if replicates is None:
         replicates = _default_replicates(spec)
+    if replicates > 1 and spec.engine == "low_discrepancy" and not spec.scramble:
+        # spawn() changes only the seed, which an unscrambled net ignores
+        raise ValueError(
+            "an unscrambled low-discrepancy stream has one replicate; "
+            f"{replicates} would all read the same points"
+        )
     per_rep, n_total = _estimate(spec, n, 9, kernel, workers, replicates)
     if replicates == 1:
         n_eff, hits = per_rep[0]

@@ -110,6 +110,8 @@ def _panel(f, a: float, b: float):
 
 def _adaptive(f, points, tol: float, max_evals: int) -> QuadratureResult:
     """Greedy bisection over initial segments given by ``points``."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     heap = []
     seq = 0
     evals = 0
@@ -165,8 +167,6 @@ def integrate_real_line(
     ``abs_err_est <= tol``; otherwise a :class:`QuadratureError` carries the
     best estimate in ``.result``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     interior = {-1.0, 0.0, 1.0}
     interior.update(float(p) for p in breakpoints)
     return _adaptive(f, _segment_points(-_HALF_RANGE, _HALF_RANGE, interior), tol, max_evals)
@@ -180,9 +180,10 @@ def separability_probability(
 ) -> QuadratureResult:
     """The probability ``Int S(xi) J(xi) dxi`` for a separability curve.
 
-    Even tags integrate over ``[0, L]`` and double (the density is even);
-    ``even_shortcut=False`` forces the full-line path, which the test suite
-    uses to confirm both agree.  Empirical curves seed their bin edges as
+    Even tags integrate ``2 S J`` over ``[0, L]`` (the density is even; the
+    doubling is exact, so this is the half-line pass at ``tol/2`` scaled by
+    2, bit for bit); ``even_shortcut=False`` forces the full-line path,
+    which the test suite uses to confirm both agree.  Empirical curves seed their bin edges as
     panel boundaries so the piecewise-constant integrand stays exact.
     """
 
@@ -191,23 +192,12 @@ def separability_probability(
 
     extra = tuple(curve.bin_edges) if curve.tag == "empirical" else ()
     if curve.is_even and even_shortcut:
-        try:
-            res = _adaptive(
-                integrand,
-                _segment_points(0.0, _HALF_RANGE, {1.0, 5.0, *(abs(e) for e in extra)}),
-                0.5 * tol,
-                _MAX_EVALS,
-            )
-        except QuadratureError as exc:
-            # carry the doubled best estimate, not the half-line one
-            best = exc.result
-            raise QuadratureError(
-                str(exc),
-                result=QuadratureResult(
-                    2.0 * best.value, 2.0 * best.abs_err_est, best.evals
-                ),
-            ) from None
-        return QuadratureResult(2.0 * res.value, 2.0 * res.abs_err_est, res.evals)
+        return _adaptive(
+            lambda x: 2.0 * integrand(x),
+            _segment_points(0.0, _HALF_RANGE, {1.0, 5.0, *(abs(e) for e in extra)}),
+            tol,
+            _MAX_EVALS,
+        )
     return integrate_real_line(integrand, tol, breakpoints=extra)
 
 

@@ -382,10 +382,13 @@ def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
     1<->2, 3<->4, which maps xi to -xi).
 
     Accepts scalar or array ``xi``; raises :class:`QuadratureError` when node
-    doubling fails to reach ``tol``.
+    doubling fails to reach ``tol``, and ``ValueError`` unless ``tol`` is
+    positive and finite.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     y = np.asarray(xi, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)

@@ -16,7 +16,7 @@ import pytest
 import sepscope.cli as cli
 import sepscope.estimator as estimator
 import sepscope.verify as verify
-from sepscope.cli import _load_desf_csv, main
+from sepscope.cli import _load_desf, main
 from sepscope.errors import QuadratureError
 from sepscope.estimator import estimate_desf, estimate_sep_probability
 from sepscope.quadrature import QuadratureResult
@@ -107,6 +107,46 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert main(["bounds", "--tol", "1e-6", "--out", str(a)]) == 0
     assert main(["bounds", "--tol", "1e-6", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_PINNED_OUTPUTS = {
+    "est.json": "367d4a8df428ac41cd65f3e1270a33c0c4471953520bd1adbbd57e662b5dd6fc",
+    "est.csv": "9be0d908b7310bdeb45de7146f65fafd7e255618a2bf0bbb36ad3e1ed84cec50",
+    "hist.csv": "5695e829d1e212cf204d62f023de976c7eae8eac18ebb18cc2d1f9cb392934ce",
+    "hist.json": "031c51609f86fcf41364b7ac167718a330d44e7496b8c8f6651c50214e0ba647",
+    "curves.csv": "d641496ec462ea1c31b381a3c7d0b831d0447858de1213bf7bd44fff2be20327",
+    "curves.json": "816a8ac554a872360654b72aeefeca855286ac29d8a726876034e8d9015e0c00",
+    "res.csv": "030b1dde3123129ab454a097afabc1901fb11630bbc21d9f7153f44dfd0b1851",
+    "res.json": "c9313440dd7e28acdde49b38c5c1f5cae7c58c1cf309b2c0bda9cb95d4ff9a33",
+}
+
+
+def test_outputs_are_pinned(tmp_path):
+    """The whole output file of each artifact-writing subcommand, in both
+    formats, is pinned by its sha256: a refactor of the envelope (title,
+    manifest, digest, data) must not move a byte.  ``bounds`` and
+    ``--beta 2`` are left out, because their last ulp depends on the
+    Gauss-Jacobi nodes."""
+    hist = ["desf", "--engine", "prng", "--n", "30000", "--seed", "7", "--bins", "11"]
+    est = ["estimate", "--engine", "prng", "--n", "20000", "--seed", "5"]
+    runs = {
+        "est.json": est,
+        "est.csv": est + ["--format", "csv"],
+        "hist.csv": hist,
+        "hist.json": hist + ["--format", "json"],
+        "curves.csv": ["curves", "--grid", "-3:3:61"],
+        "curves.json": ["curves", "--grid", "-3:3:61", "--format", "json"],
+        "res.csv": ["curves", "--residual", str(tmp_path / "hist.csv"),
+                    "--tags", "conjecture"],
+        "res.json": ["curves", "--residual", str(tmp_path / "hist.csv"),
+                     "--tags", "conjecture", "--format", "json"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == _PINNED_OUTPUTS
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +259,7 @@ def test_desf_roundtrip_and_residuals(tmp_path, capsys):
     # the CSV round-trips to the exact histogram the library produced
     spec = SequenceSpec("pseudo_random", 2024, dimension=9)
     direct = estimate_desf(spec, 200_000, bins=61, ximax=6.0)
-    loaded = _load_desf_csv(str(hist_path))
+    loaded = _load_desf(str(hist_path))
     assert np.array_equal(loaded.bin_edges, direct.bin_edges)
     assert np.array_equal(loaded.n_psd, direct.n_psd)
     assert np.array_equal(loaded.n_sep, direct.n_sep)
@@ -313,7 +353,7 @@ def _resealed(text, data):
     return f"{title}\n# manifest: {cli._canonical(manifest)}\n{data}"
 
 
-@pytest.mark.parametrize("case", ["header_only", "short_row", "cut"])
+@pytest.mark.parametrize("case", ["header_only", "short_row", "cut", "no_outside"])
 def test_residual_rejects_truncated_histogram(tmp_path, capsys, case):
     """A truncated histogram is a validation error (exit 3), not a crash.
     The first two cases carry a digest that matches, so the row checks
@@ -330,9 +370,13 @@ def test_residual_rejects_truncated_histogram(tmp_path, capsys, case):
         lines[header + 3] = ",".join(lines[header + 3].split(",")[:3])
         bad = _resealed(text, "\n".join(lines[2:]))
         message = "columns"
-    else:
+    elif case == "cut":
         bad = text[: len(text) // 2]
         message = "digest"
+    else:
+        assert lines[2].startswith("# outside: ")
+        bad = _resealed(text, "\n".join(lines[3:]))
+        message = "lacks the histogram fields n_psd_outside, n_sep_outside, n_total"
     hist_path.write_text(bad)
     capsys.readouterr()
     assert main(["curves", "--residual", str(hist_path), "--tags", "conjecture"]) == 3
@@ -357,6 +401,74 @@ def test_residual_rejects_tampered_histogram(tmp_path, capsys):
         code = main(["curves", "--residual", str(hist_path), "--tags", "conjecture"])
         assert code == 3
         assert "manifest" in capsys.readouterr().err
+
+
+def _desf_pair(tmp_path):
+    """One desf run, written as CSV and as JSON."""
+    argv = ["desf", "--n", "20000", "--seed", "11", "--bins", "11"]
+    csv_path, json_path = tmp_path / "hist.csv", tmp_path / "hist.json"
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+    return csv_path, json_path
+
+
+def test_residual_reads_json_histogram(tmp_path):
+    """The JSON and CSV of one desf run load to equal histograms, and the
+    residual tables computed from them carry the same data."""
+    csv_path, json_path = _desf_pair(tmp_path)
+    a, b = _load_desf(str(csv_path)), _load_desf(str(json_path))
+    for field in ("bin_edges", "n_psd", "n_sep"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert (a.n_psd_outside, a.n_sep_outside, a.n_total) == (
+        b.n_psd_outside, b.n_sep_outside, b.n_total
+    )
+    digests = []
+    for path in (csv_path, json_path):
+        out = tmp_path / f"res_{path.suffix[1:]}.json"
+        assert main(["curves", "--residual", str(path), "--tags", "conjecture",
+                     "--format", "json", "--out", str(out)]) == 0
+        digests.append(_read_json_payload(out.read_text())[0]["output_sha256"])
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("count", "digest"),
+    ("short_edges", "11 bin edges for 11 n_psd and 11 n_sep counts"),
+    ("missing_field", "lacks the histogram fields n_total"),
+    ("not_desf", "'curves' artifact, not a desf histogram"),
+])
+def test_residual_rejects_bad_json_histogram(tmp_path, capsys, case, message):
+    """A JSON histogram gets the CSV reader's checks: a count changed under
+    a stale digest, and (resealed, so the digest matches) a missing bin
+    edge, a missing field or another subcommand's manifest, each exit 3."""
+    _, json_path = _desf_pair(tmp_path)
+    payload = json.loads(json_path.read_text())
+    data = payload["data"]
+    if case == "count":
+        data["n_psd"][5] += 1
+    else:
+        if case == "short_edges":
+            data["bin_edges"].pop()
+        elif case == "missing_field":
+            del data["n_total"]
+        else:
+            payload["manifest"]["subcommand"] = "curves"
+        payload["manifest"]["output_sha256"] = hashlib.sha256(
+            cli._canonical(data).encode("utf-8")
+        ).hexdigest()
+    json_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(json_path), "--tags", "conjecture"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_residual_refuses_a_bounds_artifact(tmp_path, capsys):
+    """A well-formed artifact of another subcommand is not a histogram."""
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--tol", "1e-6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(out), "--tags", "conjecture"]) == 3
+    assert "'bounds' artifact, not a desf histogram" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +536,33 @@ def test_numeric_errors_exit_3(capsys):
     assert main(["estimate", "--n", "100", "--workers", "0"]) == 3
     assert main(["desf", "--n", "100", "--bins", "1"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["curves", "--residual", "{tmp}/missing.csv", "--tags", "conjecture"],
+    ["bounds", "--tol", "1e-6", "--out", "{tmp}/nodir/x.csv"],
+], ids=["unreadable-residual", "unwritable-out"])
+def test_os_errors_exit_3(tmp_path, capsys, argv):
+    """A path that cannot be read or written is a defined error, not a
+    traceback."""
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sepscope: error: ") and "No such file" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_bounds_bad_tol_exits_3(capsys, tol):
+    """A tolerance that is not positive and finite is refused before any
+    row is integrated."""
+    assert main(["bounds", f"--tol={tol}"]) == 3
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_unscrambled_replicates_exit_3(capsys):
+    """Replicates of an unscrambled net would all read the same points."""
+    assert main(["estimate", "--engine", "lds", "--no-scramble", "--n", "65536",
+                 "--replicates", "4"]) == 3
+    assert "unscrambled" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

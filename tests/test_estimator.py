@@ -232,6 +232,17 @@ def test_low_discrepancy_defaults_to_replicates():
     assert res1.replicate_means is None
 
 
+@pytest.mark.parametrize("estimate", [estimate_sep_probability,
+                                      estimate_abs_sep_probability])
+def test_unscrambled_net_refuses_replicates(estimate):
+    """``spawn`` changes only the seed, which an unscrambled net ignores, so
+    its replicates would be one stream pooled with itself (stderr 0)."""
+    spec = SequenceSpec("low_discrepancy", 68, scramble=False)
+    with pytest.raises(ValueError, match="unscrambled"):
+        estimate(spec, 4096, replicates=4)
+    assert estimate(spec, 4096, replicates=1).replicate_means is None
+
+
 # ---------------------------------------------------------------------------
 # DESF histogram
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from sepscope.quadrature import (
     integrate_real_line,
     separability_probability,
 )
-from sepscope.sepfun import DesfCurve, jacobian_xi
+from sepscope.sepfun import DesfCurve, jacobian_general_beta, jacobian_xi
 
 #: Tags whose reference values are exact expressions (product_int's is a
 #: six-digit decimal, so it cannot witness tight error estimates).
@@ -69,10 +69,23 @@ def test_density_normalization():
 
 
 def test_tol_validation():
-    with pytest.raises(ValueError):
-        integrate_real_line(jacobian_xi, 0.0)
-    with pytest.raises(ValueError):
-        integrate_real_line(jacobian_xi, -1e-8)
+    """A tolerance must be positive and finite on every path: the full line,
+    the even half-line shortcut and the beta-density slice quadrature."""
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            integrate_real_line(jacobian_xi, tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            separability_probability(DesfCurve("dom"), tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            jacobian_general_beta(2.0, np.array([0.0, 1.0]), tol=tol)
+
+
+def test_even_shortcut_failure_quotes_the_callers_tolerance():
+    """The even path integrates 2 S J on the half line at the full ``tol``,
+    so a failure names that tolerance and carries the whole-line estimate."""
+    with pytest.raises(QuadratureError, match="tolerance 1e-16 ") as exc:
+        separability_probability(DesfCurve("dom"), 1e-16)
+    assert exc.value.result.value == pytest.approx(1024 / (135 * math.pi**2), abs=1e-12)
 
 
 def test_results_are_deterministic():
