@@ -53,7 +53,14 @@ from .quadrature import (
     complex_speculation_probability,
 )
 from .sampling import SequenceSpec
-from .sepfun import TAGS, DesfCurve, eval_desf_array, jacobian_general_beta, jacobian_xi
+from .sepfun import (
+    TAGS,
+    DesfCurve,
+    check_tol,
+    eval_desf_array,
+    jacobian_general_beta,
+    jacobian_xi,
+)
 
 __all__ = ["main"]
 
@@ -372,6 +379,7 @@ def _check_tags(tags, valid) -> None:
 
 
 def _cmd_curves(args) -> int:
+    check_tol(args.tol)
     if args.residual is not None:
         return _cmd_curves_residual(args)
     tags = [t.strip() for t in args.tags.split(",")] if args.tags else []

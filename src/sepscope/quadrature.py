@@ -21,6 +21,7 @@ import numpy as np
 from .errors import QuadratureError
 from .sepfun import (
     DesfCurve,
+    check_tol,
     eval_desf_array,
     jacobian_general_beta,
     jacobian_xi,
@@ -110,8 +111,7 @@ def _panel(f, a: float, b: float):
 
 def _adaptive(f, points, tol: float, max_evals: int) -> QuadratureResult:
     """Greedy bisection over initial segments given by ``points``."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_tol(tol)
     heap = []
     seq = 0
     evals = 0

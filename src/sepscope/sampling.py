@@ -24,6 +24,9 @@ is *not* imposed here; estimators count the fraction of the cube that lands
 inside the positive-semidefinite body.  Since positivity depends on ``z``
 alone, the estimators mask a batch on ``z = 2u - 1`` first and pass only
 the surviving points (about 18%) through :func:`cube_to_bloore_batch`.
+That map is the only user of ``scipy.special`` (``betaincinv``) and imports
+it on its first call, so the quadrature commands, which never map a point,
+load no scipy module.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaincinv
 
 __all__ = [
     "ENGINES",
@@ -140,6 +142,8 @@ def cube_to_bloore_batch(points: np.ndarray):
     Dirichlet(5/2, 5/2, 5/2, 5/2); the correlation block is the uniform cube
     ``[-1, 1]^6``.
     """
+    from scipy.special import betaincinv  # ~0.3 s to import; only the map needs it
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 9:
         raise ValueError(f"expected an (n, 9) array, got shape {pts.shape}")

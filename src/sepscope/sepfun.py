@@ -35,6 +35,18 @@ xi = 0; ``TAGS``, ``EVEN_TAGS``, :func:`curve_at_zero` and
 :func:`eval_desf_array` all read it.  A NaN ``xi`` gives NaN for every
 closed-form tag.  All closed-form evaluation is vectorized; scalars go
 through the same code.
+
+General beta
+------------
+:func:`jacobian_general_beta` integrates the slice with Gauss-Jacobi rules
+built here from numpy alone by Golub-Welsch (Math. Comp. 23, 221 (1969)):
+the nodes are eigenvalues of the tridiagonal Jacobi matrix, polished by one
+Newton step, and the weights are Christoffel numbers, the reciprocal of
+``sum_k p_k(x)^2`` over the orthonormal polynomials.  That sum of positive
+terms keeps its relative precision at the outermost nodes, whose squared
+eigenvector components are tiny and carry only absolute precision: weights
+taken from them leave the beta = 2 density asymmetric by ~1e-5.  So no
+quadrature command loads ``scipy``.
 """
 
 from __future__ import annotations
@@ -45,7 +57,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError
 
@@ -59,6 +70,7 @@ __all__ = [
     "jacobian_general_beta",
     "JACOBIAN_AT_ZERO",
     "curve_at_zero",
+    "check_tol",
 ]
 
 _PI2 = math.pi**2
@@ -357,11 +369,55 @@ def jacobian_xi(xi) -> np.ndarray:
     return out.reshape(shape)
 
 
+def check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless a quadrature tolerance is positive and finite."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _jacobi_recurrence(x, off):
+    """Orthonormal ``p_n(x)``, ``p_n'(x)`` and ``sum_{k<n} p_k(x)^2``.
+
+    Three-term recurrence ``off[k] p_{k+1} = x p_k - off[k-1] p_{k-1}`` from
+    ``p_0 = 1``, with ``n = len(off)``.
+    """
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    sq = np.zeros_like(x)
+    b_prev = 0.0
+    for b in off:
+        sq += p * p
+        p_prev, p = p, (x * p - b_prev * p_prev) / b
+        d_prev, d = d, (p_prev + x * d - b_prev * d_prev) / b
+        b_prev = b
+    return p, d, sq
+
+
 @lru_cache(maxsize=32)
 def _jacobi_rule(n: int, alpha: float):
-    nodes, weights = roots_jacobi(n, alpha, alpha)
-    t = 0.5 * (nodes + 1.0)
-    return t, weights
+    """n-point Gauss rule for the Beta(alpha+1, alpha+1) density on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the weight ``(1-x)^alpha (1+x)^alpha`` on [-1, 1], each
+    refined by one Newton step on the recurrence.  The weights are the
+    Christoffel numbers ``1 / sum_k p_k(x)^2`` of the orthonormal
+    polynomials (``p_0 = 1``, so they sum to 1): a sum of positive squares,
+    within ~5e-12 relative even at the outermost nodes of a 1024-point rule,
+    where squared eigenvector components and ``1 / (p_{n-1} p_n')`` lose
+    digits.  Each node of the nonnegative half starts from the mean of its
+    two mirrored eigenvalues, and the negative half is its mirror image, so
+    the rule is exactly symmetric.
+    """
+    k = np.arange(1.0, n + 1.0)
+    off = np.sqrt(k * (k + 2.0 * alpha) / ((2.0 * (k + alpha)) ** 2 - 1.0))
+    x = np.linalg.eigvalsh(np.diag(off[:-1], 1), UPLO="U")
+    half = 0.5 * (x[n // 2:] - x[(n - 1) // 2::-1])  # the middle node of odd n is 0
+    p, d, _ = _jacobi_recurrence(half, off)
+    half -= p / d
+    w_half = 1.0 / _jacobi_recurrence(half, off)[2]
+    x = np.concatenate((-half[::-1][:n // 2], half))
+    w = np.concatenate((w_half[::-1][:n // 2], w_half))
+    return 0.5 * (x + 1.0), w
 
 
 def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
@@ -372,7 +428,8 @@ def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
     the xi change of variables, one slice direction integrates in closed form
     (a Beta-function factor absorbed into the normalization, which is exactly
     the Dirichlet constant enforcing a unit integral); the remaining
-    direction is done by Gauss-Jacobi quadrature with node doubling:
+    direction is done by Gauss-Jacobi quadrature (:func:`_jacobi_rule`,
+    whose weights sum to 1) with node doubling:
 
         J_b(xi) = (Gamma(2a)/Gamma(a)^2)^2 * 2 e^(-2a|xi|)
                   * Int_0^1 [t(1-t)]^(2a-1) (t e^(-2|xi|) + 1 - t)^(-2a) dt,
@@ -382,20 +439,19 @@ def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
     1<->2, 3<->4, which maps xi to -xi).
 
     Accepts scalar or array ``xi``; raises :class:`QuadratureError` when node
-    doubling fails to reach ``tol``, and ``ValueError`` unless ``tol`` is
-    positive and finite.
+    doubling fails to reach ``tol``, and ``ValueError`` unless ``beta`` and
+    ``tol`` are positive and finite.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_tol(tol)
     y = np.asarray(xi, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     a = 1.5 * beta + 1.0
-    lognorm = 2.0 * (gammaln(2.0 * a) - 2.0 * gammaln(a))
-    # 2^-(4a-1) from mapping the Jacobi weight onto [0,1]
-    scale = 2.0 * math.exp(lognorm - (4.0 * a - 1.0) * math.log(2.0))
+    # (Gamma(2a)/Gamma(a)^2)^2 * 2 * B(2a, 2a): the rule's weights sum to 1
+    scale = 2.0 * math.exp(4.0 * (math.lgamma(2.0 * a) - math.lgamma(a))
+                           - math.lgamma(4.0 * a))
     q = np.exp(-2.0 * np.abs(y))[:, None]
     pos = (y > 0)[:, None]
     pref = np.exp(-2.0 * a * np.abs(y))

@@ -558,6 +558,32 @@ def test_bounds_bad_tol_exits_3(capsys, tol):
     assert "tol must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+@pytest.mark.parametrize("tags", [["dom"], ["jacobian", "--beta", "2"]],
+                         ids=["closed-form", "beta2"])
+def test_curves_bad_tol_exits_3(capsys, tags, tol):
+    """``curves`` checks ``--tol`` on every call, not only when a ``--beta``
+    column uses it, so no manifest ever records a NaN tolerance."""
+    argv = ["curves", "--grid", "0:1:2", "--tags", *tags, f"--tol={tol}",
+            "--format", "json"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize("beta,message", [
+    ("inf", "beta must be positive and finite"),
+    ("nan", "beta must be positive and finite"),
+    ("1e6", "did not reach tol"),
+], ids=["inf", "nan", "1e6"])
+def test_curves_bad_beta_exits_3(capsys, beta, message):
+    assert main(["curves", "--grid", "0:1:2", "--tags", "jacobian",
+                 f"--beta={beta}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sepscope: error: ") and message in err
+
+
 def test_unscrambled_replicates_exit_3(capsys):
     """Replicates of an unscrambled net would all read the same points."""
     assert main(["estimate", "--engine", "lds", "--no-scramble", "--n", "65536",

@@ -1,11 +1,14 @@
-"""The subcommands that never call into scipy.stats or scipy.integrate do
-not import them.
+"""Each subcommand imports only the scipy modules its own code path calls.
 
-Importing ``scipy.stats`` takes about a second, most of a cold start, so
-only the code paths that use it load it: the Sobol stream and ``verify``.
-The state algebra in ``sepscope.qstate`` loads no scipy module at all.
-Each check runs in a fresh interpreter, since this test session has long
-loaded these modules.
+A cold start is mostly imports: ``scipy.special`` costs about 0.3 s and
+``scipy.stats`` about a second.  So the quadrature commands (``bounds``,
+``curves``, ``curves --residual``) and ``--version`` load no scipy module
+at all: the Gauss-Jacobi rule, ``lgamma`` and the state algebra in
+``sepscope.qstate`` are numpy and the standard library.  The cube-to-state
+map loads ``scipy.special`` (``betaincinv``) on its first call, the Sobol
+stream loads ``scipy.stats``, and ``verify`` loads ``scipy.stats`` and
+``scipy.integrate``.  Each check runs in a fresh interpreter, since this
+test session has long loaded these modules.
 """
 
 import json
@@ -14,49 +17,75 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import pytest
 
-_SCRIPT = """
-import json, sys
 from sepscope.cli import main
 
-def heavy():
-    return [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+ROOT = Path(__file__).resolve().parent.parent
 
-loaded = {"import sepscope.cli": heavy()}
+# One interpreter runs the commands in this order, recording after each the
+# scipy subpackages loaded so far; the commands that must load none run
+# first.  ``hist.csv`` is written beforehand by this test session.
+_SCRIPT = """
+import json, sys
+
+def scipy_loaded():
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                   if m.split(".")[0] == "scipy"})
+
+from sepscope.cli import main
+loaded = {"import sepscope.cli": scipy_loaded()}
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+loaded["--version"] = scipy_loaded()
 for argv in (
-    ["desf", "--engine", "prng", "--n", "20000", "--bins", "11", "--out", "hist.csv"],
-    ["curves", "--residual", "hist.csv", "--tags", "conjecture", "--out", "resid.csv"],
     ["bounds", "--tol", "1e-6", "--out", "bounds.csv"],
     ["curves", "--out", "curves.csv"],
+    ["curves", "--tags", "jacobian", "--beta", "2", "--out", "beta2.csv"],
+    ["curves", "--residual", "hist.csv", "--tags", "conjecture", "--out", "resid.csv"],
+    ["desf", "--engine", "prng", "--n", "20000", "--bins", "11", "--out", "hist2.csv"],
     ["estimate", "--engine", "prng", "--n", "20000", "--out", "prng.json"],
     ["estimate", "--engine", "lds", "--n", "20000", "--out", "lds.json"],
 ):
     assert main(argv) == 0, argv
-    loaded[" ".join(argv[:3])] = heavy()
+    loaded[" ".join(argv[:3])] = scipy_loaded()
 print(json.dumps(loaded))
 """
 
 
-def test_only_sobol_and_verify_load_scipy_stats(tmp_path):
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    work = tmp_path_factory.mktemp("imports")
+    assert main(["desf", "--engine", "prng", "--n", "20000", "--bins", "11",
+                 "--out", str(work / "hist.csv")]) == 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _SCRIPT],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=work, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    lds = loaded.pop("estimate --engine lds")
-    assert loaded == {
-        "import sepscope.cli": [],
-        "desf --engine prng": [],
-        "curves --residual hist.csv": [],
-        "bounds --tol 1e-6": [],
-        "curves --out curves.csv": [],
-        "estimate --engine prng": [],
-    }
-    # the first Sobol draw loads scipy.stats, which brings scipy.integrate
-    assert lds == ["scipy.stats", "scipy.integrate"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_quadrature_commands_load_no_scipy(loaded):
+    for step in ("import sepscope.cli", "--version", "bounds --tol 1e-6",
+                 "curves --out curves.csv", "curves --tags jacobian",
+                 "curves --residual hist.csv"):
+        assert loaded[step] == [], step
+    # the map's betaincinv is the first scipy.special user
+    assert "scipy.special" in loaded["desf --engine prng"]
+
+
+def test_only_sobol_and_verify_load_scipy_stats(loaded):
+    for step, modules in loaded.items():
+        heavy = [m for m in ("scipy.stats", "scipy.integrate") if m in modules]
+        if step == "estimate --engine lds":
+            # the first Sobol draw loads scipy.stats, which brings scipy.integrate
+            assert heavy == ["scipy.stats", "scipy.integrate"]
+        else:
+            assert heavy == [], step
 
 
 def test_qstate_loads_no_scipy():

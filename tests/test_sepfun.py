@@ -16,6 +16,7 @@ from sepscope.sepfun import (
     curve_at_zero,
     eval_desf,
     eval_desf_array,
+    _jacobi_rule,
     _jacobian_direct,
     _jacobian_series,
     jacobian_general_beta,
@@ -296,10 +297,75 @@ def test_general_beta_shapes_and_symmetry():
     assert v.shape == xs.shape
     assert np.allclose(v, v[::-1], rtol=1e-11)  # even in xi
     assert isinstance(jacobian_general_beta(2.0, 0.5), float)
-    with pytest.raises(ValueError):
-        jacobian_general_beta(0.0, 0.5)
-    with pytest.raises(ValueError):
-        jacobian_general_beta(-1.0, 0.5)
+    for beta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            jacobian_general_beta(beta, 0.5)
+
+
+# The rule's parameter is 2a - 1 = 3 beta + 1, for beta = 0.5, 1, 2, 3.
+_RULE_ALPHAS = (2.5, 4.0, 7.0, 10.0)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("alpha", _RULE_ALPHAS)
+def test_jacobi_rule_matches_scipy(alpha, n):
+    """The numpy Golub-Welsch rule against ``scipy.special.roots_jacobi``.
+
+    Nodes agree within 4 ulp of the largest node.  scipy's weights come from
+    ``1 / (p_{n-1} p_n')`` and are off by up to 1.5e-9 at the outermost
+    nodes of the 1024-point rules (see the high-precision test below), so
+    they are a reference to 2e-9 only.
+    """
+    from scipy.special import roots_jacobi
+
+    t, w = _jacobi_rule(n, alpha)
+    x_ref, w_ref, mu = roots_jacobi(n, alpha, alpha, mu=True)
+    assert t.shape == w.shape == (n,)
+    assert np.max(np.abs(t - 0.5 * (x_ref + 1.0))) <= 4 * np.spacing(0.5)
+    assert np.max(np.abs(w / (w_ref / mu) - 1.0)) <= 2e-9
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
+    # exact mirror symmetry
+    assert np.all(t + t[::-1] == 1.0)
+    assert np.all(w == w[::-1])
+
+
+def _rule_oracle(n, alpha, t0):
+    """Node near ``t0`` and its Christoffel weight to 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        off = [mp.sqrt(k * (k + 2 * a) / ((2 * (k + a)) ** 2 - 1))
+               for k in range(1, n + 1)]
+        x = 2 * mp.mpf(t0) - 1
+        for _ in range(3):
+            p_prev, p, d_prev, d, sq = 0, mp.mpf(1), 0, mp.mpf(0), mp.mpf(0)
+            b_prev = 0
+            for b in off:
+                sq += p * p
+                p_prev, p = p, (x * p - b_prev * p_prev) / b
+                d_prev, d = d, (p_prev + x * d - b_prev * d_prev) / b
+                b_prev = b
+            x -= p / d
+        return (x + 1) / 2, 1 / sq
+
+
+@pytest.mark.parametrize("alpha,n", [(4.0, 1024), (2.5, 512), (10.0, 64)])
+def test_jacobi_rule_against_high_precision(alpha, n):
+    """The outermost nodes, where the weights are smallest, and the node
+    nearest the centre: nodes within 1 ulp of the largest node, weights
+    within 1e-11 relative."""
+    t, w = _jacobi_rule(n, alpha)
+    for i in (0, 1, 2, n // 2):
+        t_ref, w_ref = _rule_oracle(n, alpha, t[i])
+        assert abs(float(t[i] - t_ref)) <= np.spacing(0.5)
+        assert abs(float(w[i] / w_ref - 1)) <= 1e-11
+
+
+def test_general_beta_density_is_symmetric_at_beta_two():
+    """The xi < 0 side integrates the mirrored form, so the density is even
+    only as far as the rule is exactly symmetric."""
+    xs = np.linspace(-8.5, 8.5, 1701)
+    v = jacobian_general_beta(2.0, xs)
+    assert np.max(np.abs(v - v[::-1]) / v) <= 1e-12
 
 
 def test_general_beta_unreachable_tolerance_reports_best():
