@@ -545,7 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--beta", type=float, default=1.0,
         help="ensemble parameter for the jacobian column",
     )
-    p.add_argument("--tol", type=float, default=1e-10, help="density quadrature tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="absolute tolerance of the --beta density quadrature (tail values "
+        "far below it carry no relative accuracy)",
+    )
     p.add_argument(
         "--residual", default=None, metavar="HIST",
         help="compare the single --tags curve against a stored desf histogram "

@@ -32,7 +32,6 @@ to the normalized Hilbert-Schmidt measure on states.
 from __future__ import annotations
 
 import math
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,10 +53,7 @@ from .sepfun import DesfCurve, eval_desf_array
 __all__ = [
     "EstimateResult",
     "DesfHistogram",
-    "MinorSelector",
     "MinorGridEstimate",
-    "MINOR_BRANCH_TABLE",
-    "minor_event_mask",
     "estimate_sep_probability",
     "estimate_abs_sep_probability",
     "estimate_desf",
@@ -380,89 +376,18 @@ def estimate_desf(
 
 
 # ---------------------------------------------------------------------------
-# Single principal minors of the partial transpose
+# Principal minors of the partial transpose at exact xi
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinorSelector:
-    """Selects one principal minor of the partially transposed matrix.
+def _make_minor_kernel(rows: tuple, xi_grid: np.ndarray):
+    """Per batch: the positive states, and at each xi how many of them have a
+    non-negative minor on ``rows`` of their partial transpose.  The sign is
+    diagonal-free (see ``qstate.pt_correlations``)."""
 
-    ``kind`` is ``"pair"`` (the 2x2 minor on rows/columns ``(i, j)``) or
-    ``"delete"`` (the 3x3 minor that removes row/column ``k``).  Indices are
-    1-based, matching the usual labelling of the four diagonal entries.
-    """
-
-    kind: str
-    index: tuple
-
-    def __post_init__(self):
-        if self.kind not in ("pair", "delete"):
-            raise ValueError(f"kind must be 'pair' or 'delete', got {self.kind!r}")
-        idx = tuple(int(v) for v in self.index)
-        if self.kind == "pair" and (len(idx) != 2 or not 1 <= idx[0] < idx[1] <= 4):
-            raise ValueError(f"pair index must be 1 <= i < j <= 4, got {self.index}")
-        if self.kind == "delete" and (len(idx) != 1 or not 1 <= idx[0] <= 4):
-            raise ValueError(f"delete index must be a single 1..4, got {self.index}")
-        object.__setattr__(self, "index", idx)
-
-    @classmethod
-    def parse(cls, text: str) -> "MinorSelector":
-        """Parse ``"pair:i,j"`` or ``"delete:k"``."""
-        m = re.fullmatch(r"\s*pair\s*:\s*([1-4])\s*,\s*([1-4])\s*", text)
-        if m:
-            return cls("pair", (int(m.group(1)), int(m.group(2))))
-        m = re.fullmatch(r"\s*delete\s*:\s*([1-4])\s*", text)
-        if m:
-            return cls("delete", (int(m.group(1)),))
-        raise ValueError(f"cannot parse minor selector {text!r}")
-
-    @property
-    def rows(self) -> tuple:
-        """The 0-based rows/columns the minor keeps, in increasing order."""
-        if self.kind == "pair":
-            return tuple(i - 1 for i in self.index)
-        return tuple(i for i in range(4) if i != self.index[0] - 1)
-
-    @property
-    def branch_tag(self) -> str:
-        """The closed-form curve this minor's conditional probability follows,
-        or None for the four pairs the partial transpose leaves untouched."""
-        return MINOR_BRANCH_TABLE.get((self.kind, self.index))
-
-    def __str__(self) -> str:
-        if self.kind == "pair":
-            return f"pair:{self.index[0]},{self.index[1]}"
-        return f"delete:{self.index[0]}"
-
-
-#: Which closed-form branch each informative minor follows: minors holding
-#: the (2, 3) slot of ``qstate.pt_correlations`` follow the right-branch
-#: curves, those holding its (1, 4) slot the left-branch ones.
-MINOR_BRANCH_TABLE = {
-    ("delete", (1,)): "three_right",
-    ("delete", (4,)): "three_right",
-    ("delete", (2,)): "three_left",
-    ("delete", (3,)): "three_left",
-    ("pair", (2, 3)): "two_right",
-    ("pair", (1, 4)): "two_left",
-}
-
-
-def minor_event_mask(z: np.ndarray, xi: float, minor: MinorSelector) -> np.ndarray:
-    """Whether the selected minor of the partial transpose is non-negative.
-
-    Works purely in correlation coordinates: the minor of the full matrix is
-    the correlation minor times a positive product of diagonal entries, so
-    the sign never depends on which diagonal realizes ``xi``.
-    """
-    s = pt_correlations(np.asarray(z, dtype=float), float(xi))
-    return corr_minor(s, minor.rows) >= 0.0
-
-
-def _make_minor_kernel(minor: MinorSelector, xi_grid: np.ndarray):
     def kernel(spec, offset, size):
         _, z = _positive_rows(spec, offset, size)
-        counts = [int(minor_event_mask(z, xi, minor).sum()) for xi in xi_grid]
+        counts = [int((corr_minor(pt_correlations(z, xi), rows) >= 0.0).sum())
+                  for xi in xi_grid]
         return (len(z), np.asarray(counts, dtype=np.int64))
 
     return kernel
@@ -493,12 +418,17 @@ class MinorGridEstimate:
 def estimate_minor_desf(
     spec: SequenceSpec,
     n: int,
-    minor: MinorSelector,
+    rows,
     xi_grid,
     *,
     workers: int = 1,
 ) -> MinorGridEstimate:
-    """P(selected minor >= 0 | full matrix positive) at each xi in the grid.
+    """P(minor >= 0 | full matrix positive) at each xi in the grid.
+
+    The minor is the principal minor of the partial transpose on the 0-based
+    ``rows`` it keeps: two, three or all four strictly increasing indices in
+    0..3, so ``(0, 1, 2, 3)`` is the full determinant and its estimate the
+    separability function S(xi) itself.
 
     Samples correlations uniformly on the cube, conditions once on full
     positivity (which does not involve xi — only the constraint does, via
@@ -511,6 +441,11 @@ def estimate_minor_desf(
     :class:`InsufficientSamplesError` if nothing survives the positivity
     conditioning.
     """
+    rows = tuple(rows)
+    if not 2 <= len(rows) <= 4 or not all(0 <= a < b <= 3 for a, b in zip(rows, rows[1:])):
+        raise ValueError(
+            f"rows must be 2 to 4 strictly increasing indices in 0..3, got {rows}"
+        )
     grid = np.asarray(list(xi_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("xi_grid must be non-empty")
@@ -518,7 +453,7 @@ def estimate_minor_desf(
         raise ValueError("xi_grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("xi_grid must be strictly increasing")
-    kernel = _make_minor_kernel(minor, grid)
+    kernel = _make_minor_kernel(rows, grid)
     [(n_psd, counts)], _ = _estimate(spec, n, 6, kernel, workers)
     if n_psd <= 0:
         raise InsufficientSamplesError(

@@ -17,8 +17,9 @@ log-ratio
     xi = 1/2 * log(rho_11 * rho_44 / (rho_22 * rho_33)).
 
 :func:`pt_correlations` is the one statement of where the partial transpose
-moves each correlation; every minor of the partial transpose (``corr_minor``,
-``pt_corr_det4``) is read from its six columns.
+moves each correlation; every minor of the partial transpose is read from
+its six columns by :func:`corr_minor`, which names a principal minor by the
+0-based rows it keeps (``(0, 1, 2, 3)`` is the full determinant).
 
 Scalar operations work on :class:`DensityMatrix` / :class:`BlooreCoords`
 values; the module-level array kernels (``corr_det3``, ``corr_det4``,
@@ -292,13 +293,14 @@ def corr_det4(s12, s13, s14, s23, s24, s34):
 
 
 def corr_minor(s, rows):
-    """Principal minor on the 0-based ``rows`` (two or three of them, in
+    """Principal minor on the 0-based ``rows`` (two, three or all four, in
     increasing order) of the unit-diagonal symmetric 4x4 whose six
-    off-diagonal columns ``s`` are ordered per :data:`Z_PAIRS`."""
+    off-diagonal columns ``s`` are ordered per :data:`Z_PAIRS`; rows
+    ``(0, 1, 2, 3)`` give the full determinant."""
     off = [s[Z_PAIRS.index(pair)] for pair in combinations(rows, 2)]
     if len(off) == 1:
         return 1.0 - off[0] * off[0]
-    return corr_det3(*off)
+    return (corr_det3 if len(off) == 3 else corr_det4)(*off)
 
 
 def z_psd_mask(z: np.ndarray) -> np.ndarray:
@@ -310,7 +312,7 @@ def z_psd_mask(z: np.ndarray) -> np.ndarray:
     """
     mask = (corr_minor(z.T, (0, 1)) > 0.0) & (corr_minor(z.T, (0, 1, 2)) > 0.0)
     rows = np.flatnonzero(mask)
-    mask[rows] = corr_det4(*z[rows].T) > 0.0
+    mask[rows] = corr_minor(z[rows].T, (0, 1, 2, 3)) > 0.0
     return mask
 
 
@@ -327,7 +329,7 @@ def pt_correlations(z: np.ndarray, xi):
 def pt_corr_det4(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """det of the partial transpose's correlation matrix; the full
     determinant is this value times ``prod(diag)``."""
-    return corr_det4(*pt_correlations(z, xi))
+    return corr_minor(pt_correlations(z, xi), (0, 1, 2, 3))
 
 
 def xi_from_diag(diag: np.ndarray) -> np.ndarray:

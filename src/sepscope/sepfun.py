@@ -31,10 +31,9 @@ Curve tags
 
 The closed-form curves are one table, ``_CURVES``: each tag maps to its
 branch at xi = a > 0, its branch at xi = -a, and its exact intercept at
-xi = 0; ``TAGS``, ``EVEN_TAGS``, :func:`curve_at_zero` and
-:func:`eval_desf_array` all read it.  A NaN ``xi`` gives NaN for every
-closed-form tag.  All closed-form evaluation is vectorized; scalars go
-through the same code.
+xi = 0; ``TAGS``, ``EVEN_TAGS`` and :func:`eval_desf_array` all read it.
+A NaN ``xi`` gives NaN for every closed-form tag.  All closed-form
+evaluation is vectorized; scalars go through the same code.
 
 General beta
 ------------
@@ -64,12 +63,10 @@ __all__ = [
     "TAGS",
     "EVEN_TAGS",
     "DesfCurve",
-    "eval_desf",
     "eval_desf_array",
     "jacobian_xi",
     "jacobian_general_beta",
     "JACOBIAN_AT_ZERO",
-    "curve_at_zero",
     "check_tol",
 ]
 
@@ -166,11 +163,6 @@ TAGS = tuple(_CURVES)
 EVEN_TAGS = frozenset(tag for tag, (pos, neg, _) in _CURVES.items() if pos is neg)
 
 
-def curve_at_zero(tag: str) -> float:
-    """Exact intercept of a closed-form tag at xi = 0."""
-    return _CURVES[tag][2]
-
-
 @dataclass(frozen=True)
 class DesfCurve:
     """A tagged separability-function curve.
@@ -223,9 +215,14 @@ def _eval_empirical(curve: DesfCurve, x: np.ndarray) -> np.ndarray:
 
 
 def eval_desf_array(curve, xi) -> np.ndarray:
-    """Vectorized curve evaluation; see :func:`eval_desf`.
+    """Value of the curve at each ``xi`` (scalar or array; the result has
+    its shape).
 
     ``curve`` may be a :class:`DesfCurve` or a bare closed-form tag string.
+    Branches are selected by the sign of ``xi``; the xi = 0 value is the
+    stored two-sided limit, and a NaN ``xi`` gives NaN for every closed-form
+    tag.  All closed forms are finite, nonnegative and bounded by 1 for
+    every other input, infinities included.
     """
     if isinstance(curve, str):
         curve = DesfCurve(curve)
@@ -240,17 +237,6 @@ def eval_desf_array(curve, xi) -> np.ndarray:
     out[pos] = pos_branch(x[pos])
     out[neg] = neg_branch(-x[neg])
     return out.reshape(scalar_shape)
-
-
-def eval_desf(curve, xi: float) -> float:
-    """Value of the curve at ``xi`` (``curve``: DesfCurve or tag string).
-
-    Branches are selected by the sign of ``xi``; the xi = 0 value is the
-    stored two-sided limit, and a NaN ``xi`` gives NaN for every closed-form
-    tag.  All closed forms are finite, nonnegative and bounded by 1 for
-    every other input, infinities included.
-    """
-    return float(eval_desf_array(curve, np.array([float(xi)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +424,15 @@ def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
     equivalent unfactored form (the weight is symmetric under relabeling
     1<->2, 3<->4, which maps xi to -xi).
 
+    ``tol`` is absolute: doubling stops once no density value moves by more
+    than ``tol / 4``, so values far below ``tol`` (the tails) carry no
+    relative accuracy.
+
     Accepts scalar or array ``xi``; raises :class:`QuadratureError` when node
-    doubling fails to reach ``tol``, and ``ValueError`` unless ``beta`` and
-    ``tol`` are positive and finite.
+    doubling fails to reach ``tol`` or, naming ``beta``, as soon as a rule
+    gives a value that is not finite (a ``beta`` too large for the slice
+    rule), and ``ValueError`` unless ``beta`` and ``tol`` are positive and
+    finite.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
@@ -459,9 +451,15 @@ def jacobian_general_beta(beta: float, xi, tol: float = 1e-10):
     prev = None
     n = 16
     while n <= 1024:
-        t, w = _jacobi_rule(n, 2.0 * a - 1.0)
-        denom = np.where(pos, t * q + (1.0 - t), t + (1.0 - t) * q)
-        vals = scale * pref * (w * denom**(-2.0 * a)).sum(axis=1)
+        with np.errstate(all="ignore"):  # a large beta overflows; caught below
+            t, w = _jacobi_rule(n, 2.0 * a - 1.0)
+            denom = np.where(pos, t * q + (1.0 - t), t + (1.0 - t) * q)
+            vals = scale * pref * (w * denom**(-2.0 * a)).sum(axis=1)
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError(
+                f"slice quadrature is not finite at beta={beta} with {n} nodes; "
+                "beta is too large for the slice rule"
+            )
         if prev is not None and np.max(np.abs(vals - prev)) <= 0.25 * tol:
             out = vals.reshape(np.shape(xi))
             return float(out) if scalar else out

@@ -29,7 +29,6 @@ from scipy.stats import binom
 from . import estimator, quadrature, sampling, sepfun
 from .qstate import (
     BlooreCoords,
-    corr_det4,
     corr_matrices,
     corr_minor,
     from_bloore,
@@ -255,7 +254,7 @@ def _pt_minor_implications(workers, seed, n, states, tol):
         return False, f"only {len(z)} states among {n} draws, need {states}"
     diag, z = diag[:states], z[:states]
     s = pt_correlations(z, xi_from_diag(diag))
-    det4 = corr_det4(*s)
+    det4 = corr_minor(s, (0, 1, 2, 3))
 
     def minors(size):
         return np.logical_and.reduce(
@@ -454,20 +453,37 @@ def _lds_vs_prng(workers, seed, n):
     )
 
 
+#: The six informative principal minors of the partial transpose, by their
+#: 1-based label ("delete:k" drops row k, "pair:i,j" keeps rows i and j): the
+#: 0-based rows each keeps, and the closed-form branch its conditional
+#: probability follows.  Minors holding the (2, 3) slot of
+#: ``qstate.pt_correlations`` follow the right-branch curves, those holding
+#: its (1, 4) slot the left-branch ones; the four other pairs have no curve.
+_MINORS = {
+    "delete:1": ((1, 2, 3), "three_right"),
+    "delete:4": ((0, 1, 2), "three_right"),
+    "delete:2": ((0, 2, 3), "three_left"),
+    "delete:3": ((0, 1, 3), "three_left"),
+    "pair:2,3": ((1, 2), "two_right"),
+    "pair:1,4": ((0, 3), "two_left"),
+}
+
+
 def _minor_curves(workers, minors, n, grid, z_max, pairs=()):
     """Each minor's estimate against its closed-form branch curve at every
     grid point (a zero-width estimate must hit the curve exactly).  ``minors``
-    maps a selector to its stream seed; each pair in ``pairs`` follows one
-    law, so its two independent estimates are also compared two-sample."""
+    maps a label of ``_MINORS`` to its stream seed; each pair in ``pairs``
+    follows one law, so its two independent estimates are also compared
+    two-sample."""
     ests = {}
     worst, worst_at = 0.0, ""
     for text, seed in minors.items():
-        minor = estimator.MinorSelector.parse(text)
+        rows, tag = _MINORS[text]
         est = ests[text] = estimator.estimate_minor_desf(
-            _prng(seed, dimension=6), n, minor, grid, workers=workers
+            _prng(seed, dimension=6), n, rows, grid, workers=workers
         )
-        for xi, got, se in zip(grid, est.ratio, est.stderr):
-            ref = sepfun.eval_desf(minor.branch_tag, xi)
+        refs = sepfun.eval_desf_array(tag, grid)
+        for xi, got, se, ref in zip(grid, est.ratio, est.stderr, refs):
             if se == 0.0:
                 if got != ref:
                     return False, f"{text} at xi={xi}: flat reference missed"
@@ -484,6 +500,20 @@ def _minor_curves(workers, minors, n, grid, z_max, pairs=()):
     if pairs:
         detail += f"; paired minors worst two-sample z = {pair_z:.2f}"
     return worst <= z_max and pair_z <= z_max, detail
+
+
+def _desf_intercept_exact_xi(workers, seed, n, z_max):
+    """S(0) = 135 pi^2 / 2176 at exactly xi = 0: the full partial-transpose
+    determinant, rows (0, 1, 2, 3), on every positive sample rather than on a
+    histogram bin's share, with the binomial sigma of the reference."""
+    est = estimator.estimate_minor_desf(
+        _prng(seed, dimension=6), n, (0, 1, 2, 3), (0.0,), workers=workers
+    )
+    ref = REFERENCES["desf_intercept"]
+    z = (est.ratio[0] - ref) / math.sqrt(ref * (1.0 - ref) / est.n_psd)
+    return abs(z) <= z_max, (
+        f"S(0) {est.ratio[0]:.6f} vs {ref:.6f} (z = {z:+.2f}, n_psd = {est.n_psd})"
+    )
 
 
 def _desf_intercept(workers, seed, n, bins, z_max, observed_sigma=False):
@@ -593,6 +623,8 @@ CHECKS = [
     Check("low-discrepancy-beats-prng-smoke", "quick", _lds_vs_prng,
           dict(seed=212, n=400_000)),
     Check("low-discrepancy-beats-prng", "full", _lds_vs_prng, dict(seed=212, n=1_000_000)),
+    Check("desf-intercept-exact-xi", "quick", _desf_intercept_exact_xi,
+          dict(seed=9116, n=2**20, z_max=3.0)),
     Check("desf-intercept-601-bins", "quick", _desf_intercept,
           dict(seed=9106, n=10_000_000, bins=601, z_max=3.0, observed_sigma=True)),
     Check("desf-intercept-601-bins-large", "full", _desf_intercept,

@@ -8,22 +8,20 @@ import pytest
 import sepscope.estimator as estimator
 from sepscope.errors import InsufficientSamplesError
 from sepscope.estimator import (
-    MINOR_BRANCH_TABLE,
     CurveComparison,
     DesfHistogram,
     EstimateResult,
-    MinorSelector,
     compare_curves,
     estimate_abs_sep_probability,
     estimate_desf,
     estimate_minor_desf,
     estimate_sep_probability,
-    minor_event_mask,
 )
-from sepscope.qstate import assemble_states, z_psd_mask
+from sepscope.qstate import assemble_states, corr_minor, pt_correlations, z_psd_mask
 from sepscope.quadrature import separability_probability
 from sepscope.sampling import SequenceSpec
-from sepscope.sepfun import DesfCurve, eval_desf, eval_desf_array
+from sepscope.sepfun import DesfCurve, eval_desf_array
+from sepscope.verify import _MINORS
 
 
 def _prng(seed, dimension=9):
@@ -107,7 +105,7 @@ _PARTITIONED_RUNS = {
     "desf-prng": lambda w: _fields(estimate_desf(_prng(67), 20_000, bins=15, workers=w)),
     "desf-lds": lambda w: _fields(estimate_desf(_lds(67), 20_000, bins=15, workers=w)),
     "minor": lambda w: _fields(estimate_minor_desf(
-        _prng(68, dimension=6), 20_000, MinorSelector.parse("delete:2"),
+        _prng(68, dimension=6), 20_000, (0, 2, 3),
         [-1.0, 0.0, 0.5], workers=w)),
 }
 
@@ -193,7 +191,7 @@ def test_tallies_are_pinned(monkeypatch):
         assert (hist.n_psd_outside, hist.n_sep_outside) == (out_psd, out_sep)
 
     minor = estimate_minor_desf(
-        _prng(2718, dimension=6), 10_000, MinorSelector.parse("delete:1"),
+        _prng(2718, dimension=6), 10_000, (1, 2, 3),
         [-1.0, -0.5, 0.0, 0.5, 1.0], workers=2,
     )
     assert minor.n_psd == 1841
@@ -329,51 +327,40 @@ def test_histogram_curve_integral_matches_direct_estimate():
 
 
 # ---------------------------------------------------------------------------
-# Minor selectors
+# Principal minors of the partial transpose
 # ---------------------------------------------------------------------------
 
 
-def test_minor_selector_parse_and_str():
-    m = MinorSelector.parse("pair:2,3")
-    assert m.kind == "pair" and m.index == (2, 3)
-    assert str(m) == "pair:2,3"
-    m = MinorSelector.parse(" delete : 4 ")
-    assert m.kind == "delete" and m.index == (4,)
-    assert str(m) == "delete:4"
-    for bad in ("pair:3,2", "pair:0,1", "delete:5", "pair:2", "minor:1", ""):
-        with pytest.raises(ValueError):
-            MinorSelector.parse(bad)
-    with pytest.raises(ValueError):
-        MinorSelector("pair", (1, 1))
-    with pytest.raises(ValueError):
-        MinorSelector("row", (1,))
-
-
 def test_minor_branch_table():
-    assert MinorSelector.parse("delete:1").branch_tag == "three_right"
-    assert MinorSelector.parse("delete:4").branch_tag == "three_right"
-    assert MinorSelector.parse("delete:2").branch_tag == "three_left"
-    assert MinorSelector.parse("delete:3").branch_tag == "three_left"
-    assert MinorSelector.parse("pair:2,3").branch_tag == "two_right"
-    assert MinorSelector.parse("pair:1,4").branch_tag == "two_left"
-    # the four untouched pairs have no curve
-    for pair in ("1,2", "1,3", "2,4", "3,4"):
-        assert MinorSelector.parse(f"pair:{pair}").branch_tag is None
-    assert len(MINOR_BRANCH_TABLE) == 6
+    """Each label keeps the rows it names (1-based; "delete:k" drops row k),
+    and its curve is a right branch exactly when the minor holds the (2, 3)
+    slot of the partial transpose, a left branch when it holds (1, 4)."""
+    assert {label: tag for label, (_, tag) in _MINORS.items()} == {
+        "delete:1": "three_right", "delete:4": "three_right",
+        "delete:2": "three_left", "delete:3": "three_left",
+        "pair:2,3": "two_right", "pair:1,4": "two_left",
+    }
+    for label, (rows, tag) in _MINORS.items():
+        kind, index = label.split(":")
+        named = [int(i) - 1 for i in index.split(",")]
+        kept = named if kind == "pair" else [i for i in range(4) if i != named[0]]
+        assert list(rows) == kept, label
+        assert tag.endswith("_right") == ({1, 2} <= set(rows)), label
+        assert tag.endswith("_left") == ({0, 3} <= set(rows)), label
 
 
-def _pt_submatrix_sign(diag, z, xi, minor):
+def _event(z, xi, rows):
+    return corr_minor(pt_correlations(z, xi), rows) >= 0.0
+
+
+def _pt_submatrix_sign(diag, z, rows):
     """Oracle: assemble the state, partially transpose it densely, and take
-    the requested principal minor with dense linear algebra."""
+    the principal minor on ``rows`` with dense linear algebra."""
     states = assemble_states(diag, z)
     pt = states.copy()
     pt[:, 0, 3], pt[:, 1, 2] = states[:, 1, 2], states[:, 0, 3]
     pt[:, 3, 0], pt[:, 2, 1] = states[:, 2, 1], states[:, 3, 0]
-    if minor.kind == "pair":
-        keep = [i - 1 for i in minor.index]
-    else:
-        keep = [i for i in range(4) if i != minor.index[0] - 1]
-    sub = pt[:, keep][:, :, keep]
+    sub = pt[:, rows][:, :, rows]
     return np.linalg.det(sub)
 
 
@@ -386,21 +373,25 @@ def _two_diagonals_for_xi(xi, n):
     return d1, d2
 
 
-@pytest.mark.parametrize(
-    "text", ["delete:1", "delete:2", "delete:3", "delete:4",
-             "pair:2,3", "pair:1,4", "pair:1,3"],
-)
-def test_minor_event_mask_matches_dense_oracle(text):
-    """The correlation-space mask agrees with dense minors of the partially
-    transposed state for two different diagonals realizing the same xi."""
-    minor = MinorSelector.parse(text)
-    rng = np.random.default_rng(hash(text) % 2**32)
+_ORACLE_ROWS = {
+    "delete:1": (1, 2, 3), "delete:2": (0, 2, 3), "delete:3": (0, 1, 3),
+    "delete:4": (0, 1, 2), "pair:2,3": (1, 2), "pair:1,4": (0, 3),
+    "pair:1,3": (0, 2), "full": (0, 1, 2, 3),
+}
+
+
+@pytest.mark.parametrize("rows", _ORACLE_ROWS.values(), ids=_ORACLE_ROWS.keys())
+def test_minor_event_mask_matches_dense_oracle(rows):
+    """The correlation-space event on ``rows`` agrees with the dense minor of
+    the partially transposed state (its determinant for all four rows) for
+    two different diagonals realizing the same xi."""
+    rng = np.random.default_rng(hash(rows) % 2**32)
     z = rng.uniform(-1, 1, size=(20_000, 6))
     z = z[z_psd_mask(z)]
     for xi in (-0.8, 0.0, 1.3):
-        mask = minor_event_mask(z, xi, minor)
+        mask = _event(z, xi, rows)
         for diag in _two_diagonals_for_xi(xi, len(z)):
-            det = _pt_submatrix_sign(diag, z, xi, minor)
+            det = _pt_submatrix_sign(diag, z, list(rows))
             clear = np.abs(det) > 1e-15
             assert np.array_equal(mask[clear], det[clear] >= 0)
 
@@ -414,19 +405,22 @@ def test_delete_minors_are_pairwise_equivalent():
     z_r = z[:, [5, 4, 2, 3, 1, 0]]
     assert np.array_equal(z_psd_mask(z_r), z_psd_mask(z))
     for xi in (-1.0, 0.3, 2.0):
-        d1 = minor_event_mask(z, xi, MinorSelector.parse("delete:1"))
-        d4 = minor_event_mask(z_r, xi, MinorSelector.parse("delete:4"))
+        d1 = _event(z, xi, (1, 2, 3))
+        d4 = _event(z_r, xi, (0, 1, 2))
         assert np.array_equal(d1, d4)
-        d2 = minor_event_mask(z, xi, MinorSelector.parse("delete:2"))
-        d3 = minor_event_mask(z_r, xi, MinorSelector.parse("delete:3"))
+        d2 = _event(z, xi, (0, 2, 3))
+        d3 = _event(z_r, xi, (0, 1, 3))
         assert np.array_equal(d2, d3)
 
 
 def test_estimate_minor_desf_validation():
-    minor = MinorSelector.parse("delete:1")
+    minor = (1, 2, 3)
     with pytest.raises(ValueError):
         estimate_minor_desf(_prng(0), 1000, minor, [0.0])  # needs dimension 6
     spec = _prng(0, dimension=6)
+    for rows in [(1,), (2, 1), (1, 1), (0, 4), (-1, 2), (0, 1, 2, 3, 3), ()]:
+        with pytest.raises(ValueError, match="rows must be"):
+            estimate_minor_desf(spec, 1000, rows, [0.0])
     with pytest.raises(ValueError):
         estimate_minor_desf(spec, 0, minor, [0.0])
     with pytest.raises(ValueError):
@@ -443,32 +437,32 @@ def test_estimate_minor_desf_nothing_survives(monkeypatch):
     )
     with pytest.raises(InsufficientSamplesError):
         estimate_minor_desf(
-            _prng(0, dimension=6), 100, MinorSelector.parse("delete:1"), [0.0]
+            _prng(0, dimension=6), 100, (1, 2, 3), [0.0]
         )
 
 
 def test_minor_estimates_track_their_curves():
     grid = [-1.0, 0.0, 1.0]
     est = estimate_minor_desf(
-        _prng(881, dimension=6), 200_000, MinorSelector.parse("delete:1"), grid
+        _prng(881, dimension=6), 200_000, (1, 2, 3), grid
     )
     assert np.array_equal(est.xi, grid)
     for i, xi in enumerate(grid):
-        ref = eval_desf("three_right", xi)
+        ref = eval_desf_array("three_right", xi)
         z = (est.ratio[i] - ref) / est.stderr[i]
         assert abs(z) < 4.0, f"xi = {xi}"
 
 
 def test_box_minor_is_certain_on_its_easy_side():
-    """pair:2,3 scales a correlation by e^xi, so for xi < 0 the 2x2 minor
-    cannot fail; the estimate is exactly 1 with zero spread."""
+    """The 2x2 minor on rows (1, 2) scales a correlation by e^xi, so for
+    xi < 0 it cannot fail; the estimate is exactly 1 with zero spread."""
     est = estimate_minor_desf(
-        _prng(882, dimension=6), 50_000, MinorSelector.parse("pair:2,3"),
+        _prng(882, dimension=6), 50_000, (1, 2),
         [-0.5, 0.25],
     )
     assert est.ratio[0] == 1.0
     assert est.stderr[0] == 0.0
-    ref = eval_desf("two_right", 0.25)
+    ref = eval_desf_array("two_right", 0.25)
     assert abs(est.ratio[1] - ref) / est.stderr[1] < 4.0
 
 

@@ -1,5 +1,7 @@
 """State-layer tests: Bloore coordinates, partial transpose, positivity."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from sepscope.qstate import (
     assemble_states,
     corr_det3,
     corr_det4,
+    corr_matrices,
+    corr_minor,
     from_bloore,
     is_absolutely_separable,
     is_psd,
@@ -243,6 +247,20 @@ def test_corr_det_kernels_match_dense_determinants():
         for k, (i, j) in enumerate(Z_PAIRS):
             m4[i, j] = m4[j, i] = s[k]
         assert corr_det4(*s) == pytest.approx(np.linalg.det(m4), abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "rows", [rows for k in (2, 3, 4) for rows in combinations(range(4), k)],
+    ids=lambda rows: "".join(map(str, rows)),
+)
+def test_corr_minor_is_the_dense_principal_minor(rows):
+    """Every principal minor a row subset names -- six pairs, four triples
+    and all four rows -- is the determinant of that dense submatrix."""
+    s = np.random.default_rng(44).uniform(-1, 1, size=(6, 500))
+    dense = corr_matrices(s)
+    keep = list(rows)
+    want = np.linalg.det(dense[:, keep][:, :, keep])
+    assert np.max(np.abs(corr_minor(s, rows) - want)) < 1e-13
 
 
 def test_principal_minors_match_dense_determinants():

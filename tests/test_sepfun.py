@@ -13,8 +13,6 @@ from sepscope.sepfun import (
     JACOBIAN_AT_ZERO,
     TAGS,
     DesfCurve,
-    curve_at_zero,
-    eval_desf,
     eval_desf_array,
     _jacobi_rule,
     _jacobian_direct,
@@ -50,7 +48,7 @@ def test_scalar_and_array_paths_agree():
     for tag in TAGS:
         vals = eval_desf_array(tag, _GRID[::50])
         for x, v in zip(_GRID[::50], vals):
-            assert eval_desf(DesfCurve(tag), float(x)) == v
+            assert eval_desf_array(DesfCurve(tag), float(x)) == v
 
 
 # The splice of the mirrored 3x3 branch at xi = -2 and its neighbours, signed
@@ -89,7 +87,7 @@ def test_curve_values_are_pinned():
 @pytest.mark.parametrize("tag", TAGS)
 def test_nan_xi_gives_nan(tag):
     assert np.isnan(eval_desf_array(tag, [np.nan])).all()
-    assert math.isnan(eval_desf(tag, math.nan))
+    assert math.isnan(eval_desf_array(tag, math.nan))
 
 
 def test_empirical_half_open_bins():
@@ -97,13 +95,13 @@ def test_empirical_half_open_bins():
     xs = np.array([-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.999, 2.0, 2.5])
     expect = np.array([0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0])
     assert np.array_equal(eval_desf_array(curve, xs), expect)
-    assert eval_desf(curve, 1.0) == 0.6  # bins are [lo, hi)
+    assert eval_desf_array(curve, 1.0) == 0.6  # bins are [lo, hi)
 
 
 def test_empirical_nan_bins_pass_through():
     curve = DesfCurve.empirical([0.0, 1.0, 2.0], [np.nan, 0.6])
-    assert np.isnan(eval_desf(curve, 0.5))
-    assert eval_desf(curve, 1.5) == 0.6
+    assert np.isnan(eval_desf_array(curve, 0.5))
+    assert eval_desf_array(curve, 1.5) == 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +144,29 @@ def test_curve_ordering():
 
 def test_intercepts():
     pi2 = math.pi**2
-    assert curve_at_zero("dom") == 1.0
-    assert curve_at_zero("int") == pytest.approx(45.0 * pi2 / 512.0, abs=0)
-    assert curve_at_zero("two_right") == 1.0
-    assert curve_at_zero("conjecture") == pytest.approx(4095.0 * pi2 / 65536.0, abs=0)
-    assert curve_at_zero("previous") == pytest.approx(135.0 * pi2 / 2176.0, abs=0)
-    assert curve_at_zero("product_int") == pytest.approx((45.0 * pi2 / 512.0) ** 2, abs=0)
+    at_zero = {tag: float(eval_desf_array(tag, 0.0)) for tag in TAGS}
+    assert at_zero["dom"] == 1.0
+    assert at_zero["int"] == pytest.approx(45.0 * pi2 / 512.0, abs=0)
+    assert at_zero["two_right"] == 1.0
+    assert at_zero["conjecture"] == pytest.approx(4095.0 * pi2 / 65536.0, abs=0)
+    assert at_zero["previous"] == pytest.approx(135.0 * pi2 / 2176.0, abs=0)
+    assert at_zero["product_int"] == pytest.approx((45.0 * pi2 / 512.0) ** 2, abs=0)
     for tag in TAGS:
-        assert eval_desf(tag, 0.0) == curve_at_zero(tag)
+        assert eval_desf_array(tag, -0.0) == at_zero[tag]
 
 
 def test_continuity_at_zero():
     for tag in TAGS:
-        lo = eval_desf(tag, -1e-13)
-        hi = eval_desf(tag, 1e-13)
-        mid = curve_at_zero(tag)
+        lo = eval_desf_array(tag, -1e-13)
+        hi = eval_desf_array(tag, 1e-13)
+        mid = eval_desf_array(tag, 0.0)
         assert abs(lo - mid) < 1e-12 and abs(hi - mid) < 1e-12
 
 
 def test_two_left_is_one_on_the_right_half_line():
     xs = np.array([0.0, 1e-6, 0.3, 2.0, 50.0])
     assert np.array_equal(eval_desf_array("two_left", xs), np.ones(5))
-    assert eval_desf("two_right", -0.3) == 1.0
+    assert eval_desf_array("two_right", -0.3) == 1.0
 
 
 def test_envelope_identities():
@@ -183,7 +182,7 @@ def test_envelope_identities():
 
 def test_three_branch_far_left_plateau():
     limit = 39.0 * math.pi / 128.0
-    assert eval_desf("three_right", -40.0) == pytest.approx(limit, rel=1e-15)
+    assert eval_desf_array("three_right", -40.0) == pytest.approx(limit, rel=1e-15)
     xs = -np.linspace(0.5, 30.0, 200)
     v = eval_desf_array("three_right", xs)
     assert np.all(v <= limit)
@@ -196,8 +195,8 @@ def test_three_branch_far_left_plateau():
 def test_three_branch_tail_splice_is_smooth():
     # the series/direct handoff sits at xi = -2; both sides must agree
     h = 1e-9
-    a = eval_desf("three_right", -2.0 + h)
-    b = eval_desf("three_right", -2.0 - h)
+    a = eval_desf_array("three_right", -2.0 + h)
+    b = eval_desf_array("three_right", -2.0 - h)
     assert abs(a - b) < 1e-10
     # and the series itself tracks the direct form across the handoff
     xs = np.linspace(-2.2, -1.8, 101)
