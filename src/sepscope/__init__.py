@@ -11,6 +11,11 @@ The package has two halves that check each other:
   same probabilities, their absolutely separable counterpart, and the
   separability function itself.
 
+Both stand on ``qstate``, the state algebra: every function there takes a
+batch of states, the dense ``partial_transpose`` is the reference, and
+``pt_correlations`` is its form in correlation coordinates, the one the
+estimators run.
+
 ``verify.run_checks`` wires the halves together; the ``sepscope`` console
 script exposes everything on the command line.  The building blocks are
 imported from their submodules (``sepscope.estimator`` and so on); the

@@ -1,22 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Two failures have their own class: a quadrature that does not reach its
+tolerance and a sample with no survivors.  Malformed arguments raise plain
+``ValueError``.
+"""
 
 
 class SepscopeError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class InvalidStateError(SepscopeError, ValueError):
-    """A matrix or coordinate vector violates a structural invariant
-    (symmetry, trace, simplex, or correlation-range constraints)."""
-
-
-class DegenerateStateError(SepscopeError, ValueError):
-    """An operation that requires strictly positive diagonal entries was
-    given a state with a zero (or negative) diagonal entry."""
-
-
-class NonPsdError(SepscopeError, ValueError):
-    """A positivity-restricted operation was given a non-PSD matrix."""
 
 
 class QuadratureError(SepscopeError, RuntimeError):

@@ -16,43 +16,27 @@ log-ratio
 
     xi = 1/2 * log(rho_11 * rho_44 / (rho_22 * rho_33)).
 
-:func:`pt_correlations` is the one statement of where the partial transpose
-moves each correlation; every minor of the partial transpose is read from
-its six columns by :func:`corr_minor`, which names a principal minor by the
-0-based rows it keeps (``(0, 1, 2, 3)`` is the full determinant).
-
-Scalar operations work on :class:`DensityMatrix` / :class:`BlooreCoords`
-values; the module-level array kernels (``corr_det3``, ``corr_det4``,
-``pt_correlations``, ``corr_minor``, ``z_psd_mask``, ...) provide the same
-arithmetic on batches and are the hot path used by the estimators.
+Every function takes a batch: ``z`` has shape (n, 6) ordered per
+:data:`Z_PAIRS`, ``diag`` has shape (n, 4), and dense states are (n, 4, 4)
+stacks.  The dense :func:`partial_transpose` is the reference;
+:func:`pt_correlations` is its form in correlation coordinates and the one
+the estimators run.  Every minor of the partial transpose is read from its
+six columns by :func:`corr_minor`, which names a principal minor by the
+0-based rows it keeps (``(0, 1, 2, 3)`` is the full determinant).  The
+kernels are plain polynomial arithmetic (plus one batched eigensolve), with
+no Python-level loop over rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateStateError, InvalidStateError, NonPsdError
-
 __all__ = [
     "Z_PAIRS",
-    "DEFAULT_TOL",
-    "DensityMatrix",
-    "BlooreCoords",
     "werner",
-    "from_bloore",
-    "to_bloore",
-    "xi_of",
     "partial_transpose",
-    "principal_minors_2x2",
-    "principal_minors_3x3",
-    "is_psd",
-    "is_separable",
-    "is_absolutely_separable",
-    "corr_det3",
-    "corr_det4",
     "corr_minor",
     "corr_matrices",
     "z_psd_mask",
@@ -67,220 +51,35 @@ __all__ = [
 #: (1,2), (1,3), (1,4), (2,3), (2,4), (3,4) in 1-based labels.
 Z_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-#: Default absolute tolerance for positivity tests (eigenvalues and
-#: determinants).  Entries are O(1), so double precision leaves roughly
-#: 1e-13 of headroom on 4x4 determinants.
-DEFAULT_TOL = 1e-12
 
-_STRUCT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Real symmetric 4x4 matrix with unit trace and diagonal in [0, 1].
-
-    The stored array is exactly symmetric (the upper triangle is mirrored
-    at construction) and read-only.  Positive semidefiniteness is *not*
-    enforced here; callers test it with :func:`is_psd`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidStateError("matrix entries must be finite")
-        if np.max(np.abs(m - m.T)) > _STRUCT_TOL:
-            raise InvalidStateError("matrix is not symmetric within 1e-12")
-        m = np.triu(m) + np.triu(m, 1).T  # mirror exactly
-        if abs(m.trace() - 1.0) > _STRUCT_TOL:
-            raise InvalidStateError(f"trace must be 1, got {m.trace()!r}")
-        d = np.diag(m)
-        if np.any(d < -_STRUCT_TOL) or np.any(d > 1.0 + _STRUCT_TOL):
-            raise InvalidStateError("diagonal entries must lie in [0, 1]")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def diag(self) -> np.ndarray:
-        return np.diag(self.matrix)
-
-
-@dataclass(frozen=True)
-class BlooreCoords:
-    """Simplex diagonal plus the six correlations ``z_ij``.
-
-    ``z`` is ordered per :data:`Z_PAIRS`.  The coordinates describe a valid
-    symmetric unit-trace matrix for any ``|z_ij| <= 1``; whether that matrix
-    is PSD depends only on ``z`` (see :func:`is_psd`).
-    """
-
-    diag: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        if d.shape != (4,):
-            raise InvalidStateError(f"diag must have 4 entries, got shape {d.shape}")
-        if z.shape != (6,):
-            raise InvalidStateError(f"z must have 6 entries, got shape {z.shape}")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(z))):
-            raise InvalidStateError("coordinates must be finite")
-        if np.any(d < -_STRUCT_TOL):
-            raise InvalidStateError("diagonal entries must be nonnegative")
-        if abs(d.sum() - 1.0) > _STRUCT_TOL:
-            raise InvalidStateError(f"diag must sum to 1, got {d.sum()!r}")
-        if np.any(np.abs(z) > 1.0 + _STRUCT_TOL):
-            raise InvalidStateError("correlations must satisfy |z_ij| <= 1")
-        d = d.copy()
-        z = np.clip(z, -1.0, 1.0)
-        d.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "z", z)
-
-    def correlation_matrix(self) -> np.ndarray:
-        """The 4x4 unit-diagonal matrix Z."""
-        return corr_matrices(self.z[:, None])[0]
-
-
-def werner(w: float) -> DensityMatrix:
+def werner(w: float) -> np.ndarray:
     """Werner-type state ``w |phi+><phi+| + (1-w) I/4`` with
-    ``|phi+> = (|00> + |11>)/sqrt(2)``; separable exactly for ``w <= 1/3``."""
+    ``|phi+> = (|00> + |11>)/sqrt(2)``, a (4, 4) array; separable exactly
+    for ``w <= 1/3``."""
     if not 0.0 <= w <= 1.0:
-        raise InvalidStateError(f"mixing weight must be in [0, 1], got {w}")
+        raise ValueError(f"mixing weight must be in [0, 1], got {w}")
     m = np.diag([(1 - w) / 4 + w / 2, (1 - w) / 4, (1 - w) / 4, (1 - w) / 4 + w / 2])
     m[0, 3] = m[3, 0] = w / 2
-    return DensityMatrix(m)
+    return m
 
 
-def from_bloore(c: BlooreCoords) -> DensityMatrix:
-    """Assemble ``rho_ij = z_ij * sqrt(rho_ii * rho_jj)`` from coordinates.
-
-    The result is symmetric with unit trace by construction; it is *not*
-    guaranteed PSD (test with :func:`is_psd`).
-    """
-    m = assemble_states(c.diag[None], c.z[None])[0]
-    np.fill_diagonal(m, c.diag)  # sqrt(d)**2 is not d in the last ulp
-    return DensityMatrix(m)
-
-
-def to_bloore(rho: DensityMatrix) -> BlooreCoords:
-    """Inverse of :func:`from_bloore`; requires a strictly positive diagonal."""
-    d = rho.diag
-    if np.any(d <= 0.0):
-        raise DegenerateStateError(
-            "correlation coordinates need strictly positive diagonal entries"
-        )
-    s = np.sqrt(d)
-    z = np.array([rho.matrix[i, j] / (s[i] * s[j]) for i, j in Z_PAIRS])
-    return BlooreCoords(diag=d, z=z)
-
-
-def xi_of(c: BlooreCoords) -> float:
-    """The diagonal log-ratio ``xi = 1/2 log(d1*d4/(d2*d3))``.
-
-    Returned as a plain (finite) float; strictly positive diagonal required.
-    """
-    d = c.diag
-    if np.any(d <= 0.0):
-        raise DegenerateStateError("xi requires strictly positive diagonal entries")
-    return 0.5 * float(np.log(d[0] * d[3] / (d[1] * d[2])))
-
-
-def partial_transpose(rho: DensityMatrix) -> DensityMatrix:
-    """Partial transpose on the second qubit: swaps entries (1,4) and (2,3).
-
-    An involution; trace and diagonal are untouched.
-    """
-    m = rho.matrix.copy()
-    m[0, 3], m[1, 2] = m[1, 2], m[0, 3]
-    m[3, 0], m[2, 1] = m[2, 1], m[3, 0]
-    return DensityMatrix(m)
-
-
-def principal_minors_2x2(rho: DensityMatrix) -> np.ndarray:
-    """Determinants of the six 2x2 principal submatrices, ordered per
-    :data:`Z_PAIRS`."""
-    m = rho.matrix
-    return np.array([m[i, i] * m[j, j] - m[i, j] ** 2 for i, j in Z_PAIRS])
-
-
-def principal_minors_3x3(rho: DensityMatrix) -> np.ndarray:
-    """Determinants of the four 3x3 principal submatrices obtained by
-    deleting index k, for k = 1..4 in that order."""
-    m = rho.matrix
-    out = np.empty(4)
-    for k in range(4):
-        keep = [i for i in range(4) if i != k]
-        out[k] = np.linalg.det(m[np.ix_(keep, keep)])
+def partial_transpose(states: np.ndarray) -> np.ndarray:
+    """Partial transpose on the second qubit of a (..., 4, 4) stack: swaps
+    entries (1,4) and (2,3).  An involution; trace and diagonal are
+    untouched."""
+    out = states.copy()
+    out[..., 0, 3], out[..., 1, 2] = states[..., 1, 2], states[..., 0, 3]
+    out[..., 3, 0], out[..., 2, 1] = states[..., 2, 1], states[..., 3, 0]
     return out
 
 
-def is_psd(state, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol.
-
-    Accepts a :class:`DensityMatrix` or :class:`BlooreCoords`.  For
-    coordinates the test is applied to *Z* itself, which is equivalent
-    (for a nonnegative diagonal) and manifestly independent of ``diag``.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if isinstance(state, BlooreCoords):
-        m = state.correlation_matrix()
-    elif isinstance(state, DensityMatrix):
-        m = state.matrix
-    else:
-        raise TypeError(f"expected DensityMatrix or BlooreCoords, got {type(state)!r}")
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol
-
-
-def is_separable(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """PPT separability test: ``det PT(rho) >= -tol``.
-
-    For a PSD two-qubit state at most one eigenvalue of the partial
-    transpose can be negative, so the determinant sign alone decides PSD of
-    the partial transpose.  The determinant (a degree-4 polynomial) is the
-    hot path; eigenvalue-based equivalence is exercised by the test suite.
-    """
-    if not is_psd(rho, tol):
-        raise NonPsdError("separability test requires a PSD state")
-    return float(np.linalg.det(partial_transpose(rho).matrix)) >= -tol
-
-
-def is_absolutely_separable(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Spectral test for separability under *every* global unitary.
-
-    With eigenvalues sorted ``l1 >= l2 >= l3 >= l4``, the state is
-    absolutely separable iff ``l1 - l3 - 2*sqrt(l2*l4) <= 0``.  This is the
-    standard two-qubit criterion from the absolute-separability literature
-    (external to the separability-function analysis implemented here, which
-    quotes only the resulting probability).
-    """
-    if not is_psd(rho, tol):
-        raise NonPsdError("absolute-separability test requires a PSD state")
-    return bool(abs_separable_mask(rho.matrix[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# Array kernels.
-#
-# These operate on batches: ``z`` has shape (n, 6) ordered per Z_PAIRS,
-# ``diag`` has shape (n, 4).  They are plain polynomial arithmetic (plus one
-# batched eigensolve), with no Python-level loop over rows.
-# ---------------------------------------------------------------------------
-
-
-def corr_det3(p, q, r):
+def _corr_det3(p, q, r):
     """det of a unit-diagonal symmetric 3x3 with off-diagonals p, q, r
     (symmetric in its arguments)."""
     return 1.0 + 2.0 * p * q * r - p * p - q * q - r * r
 
 
-def corr_det4(s12, s13, s14, s23, s24, s34):
+def _corr_det4(s12, s13, s14, s23, s24, s34):
     """det of a unit-diagonal symmetric 4x4 with the given off-diagonals."""
     return (
         s12 * s12 * s34 * s34 - s12 * s12 + 2 * s12 * s13 * s23
@@ -300,7 +99,7 @@ def corr_minor(s, rows):
     off = [s[Z_PAIRS.index(pair)] for pair in combinations(rows, 2)]
     if len(off) == 1:
         return 1.0 - off[0] * off[0]
-    return (corr_det3 if len(off) == 3 else corr_det4)(*off)
+    return (_corr_det3 if len(off) == 3 else _corr_det4)(*off)
 
 
 def z_psd_mask(z: np.ndarray) -> np.ndarray:
@@ -354,7 +153,15 @@ def assemble_states(diag: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def abs_separable_mask(states: np.ndarray) -> np.ndarray:
-    """:func:`is_absolutely_separable`'s spectral test on a (n, 4, 4) stack."""
+    """Spectral test for separability under *every* global unitary, on a
+    (n, 4, 4) stack of PSD states.
+
+    With eigenvalues sorted ``l1 >= l2 >= l3 >= l4``, a state is absolutely
+    separable iff ``l1 - l3 - 2*sqrt(l2*l4) <= 0``.  This is the standard
+    two-qubit criterion from the absolute-separability literature (external
+    to the separability-function analysis implemented here, which quotes
+    only the resulting probability).
+    """
     ev = np.linalg.eigvalsh(states)  # ascending; l2 * l4 clamped at roundoff
     gap = ev[:, 3] - ev[:, 1] - 2.0 * np.sqrt(np.maximum(ev[:, 2] * ev[:, 0], 0.0))
     return gap <= 0.0

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .sepfun import (
+    EVEN_TAGS,
     DesfCurve,
     check_tol,
     eval_desf_array,
@@ -191,7 +192,7 @@ def separability_probability(
         return eval_desf_array(curve, x) * jacobian_xi(x)
 
     extra = tuple(curve.bin_edges) if curve.tag == "empirical" else ()
-    if curve.is_even and even_shortcut:
+    if curve.tag in EVEN_TAGS and even_shortcut:
         return _adaptive(
             lambda x: 2.0 * integrand(x),
             _segment_points(0.0, _HALF_RANGE, {1.0, 5.0, *(abs(e) for e in extra)}),

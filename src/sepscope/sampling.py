@@ -94,15 +94,6 @@ class SequenceSpec:
             "scramble": self.scramble,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SequenceSpec":
-        return cls(
-            engine=d["engine"],
-            seed=d["seed"],
-            dimension=d.get("dimension", 9),
-            scramble=d.get("scramble", True),
-        )
-
 
 def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
     """Rows ``offset .. offset+n-1`` of the stream defined by ``spec``, as an

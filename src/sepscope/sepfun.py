@@ -200,10 +200,6 @@ class DesfCurve:
     def empirical(cls, bin_edges, values) -> "DesfCurve":
         return cls("empirical", bin_edges, values)
 
-    @property
-    def is_even(self) -> bool:
-        return self.tag in EVEN_TAGS
-
 
 def _eval_empirical(curve: DesfCurve, x: np.ndarray) -> np.ndarray:
     edges, vals = curve.bin_edges, curve.values

@@ -28,11 +28,9 @@ from scipy.stats import binom
 
 from . import estimator, quadrature, sampling, sepfun
 from .qstate import (
-    BlooreCoords,
+    assemble_states,
     corr_matrices,
     corr_minor,
-    from_bloore,
-    is_separable,
     partial_transpose,
     pt_corr_det4,
     pt_correlations,
@@ -208,9 +206,10 @@ def _beta2_speculation(workers, tol, bound):
 def _isotropic_mixture(workers):
     for w in (0.0, 0.2, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 0.6, 1.0):
         want = w <= 1.0 / 3.0 + 1e-12
-        if is_separable(werner(w)) != want:
+        pt = partial_transpose(werner(w))
+        if (np.linalg.det(pt) >= -1e-12) != want:
             return False, f"separability flips at the wrong w = {w}"
-        ev_min = float(np.linalg.eigvalsh(partial_transpose(werner(w)).matrix)[0])
+        ev_min = float(np.linalg.eigvalsh(pt)[0])
         if abs(ev_min - (1.0 - 3.0 * w) / 4.0) > 1e-12:
             return False, f"PT minimum eigenvalue wrong at w = {w}"
     return True, "separable exactly up to w = 1/3; PT eigenvalue (1-3w)/4"
@@ -238,10 +237,10 @@ def _curve_evenness_and_ordering(workers, bound):
 
 def _pt_involution(workers, seed, n, states):
     diag, z = _psd_sample(seed, n)
-    for k in range(states):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        if not np.array_equal(partial_transpose(partial_transpose(rho)).matrix, rho.matrix):
-            return False, f"partial transpose is not an involution on state {k}"
+    rho = assemble_states(diag[:states], z[:states])
+    moved = np.flatnonzero(np.any(partial_transpose(partial_transpose(rho)) != rho, axis=(1, 2)))
+    if moved.size:
+        return False, f"partial transpose is not an involution on state {moved[0]}"
     return True, f"partial transpose is an involution, bit for bit, on {states} states"
 
 

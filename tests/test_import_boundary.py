@@ -89,13 +89,16 @@ def test_only_sobol_and_verify_load_scipy_stats(loaded):
 
 
 def test_qstate_loads_no_scipy():
-    """The state algebra, partial transpose included, is numpy alone."""
+    """The state algebra, partial transpose included, is numpy alone: a
+    fresh ``import sepscope.qstate`` loads no scipy module and no other
+    sepscope submodule."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sepscope.qstate; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import json, sys, sepscope.qstate; "
+         "print(json.dumps(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('scipy', 'sepscope'))))"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == ["sepscope", "sepscope.qstate"]

@@ -1,35 +1,32 @@
-"""State-layer tests: Bloore coordinates, partial transpose, positivity."""
+"""State-layer tests: correlation coordinates, partial transpose, positivity.
+
+Every kernel takes a batch; the dense :func:`partial_transpose` of the
+assembled states is the reference the correlation-coordinate kernels are
+held to.
+"""
 
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sepscope.errors import DegenerateStateError, InvalidStateError, NonPsdError
 from sepscope.qstate import (
-    BlooreCoords,
-    DensityMatrix,
     Z_PAIRS,
+    abs_separable_mask,
     assemble_states,
-    corr_det3,
-    corr_det4,
     corr_matrices,
     corr_minor,
-    from_bloore,
-    is_absolutely_separable,
-    is_psd,
-    is_separable,
     partial_transpose,
-    principal_minors_2x2,
-    principal_minors_3x3,
     pt_corr_det4,
     pt_correlations,
-    to_bloore,
     werner,
     xi_from_diag,
-    xi_of,
     z_psd_mask,
 )
+
+#: Absolute tolerance of the dense verdicts: the smallest eigenvalue for
+#: positivity, the determinant of the partial transpose for separability.
+_TOL = 1e-12
 
 
 def _random_coords(rng, n):
@@ -42,78 +39,23 @@ def _random_coords(rng, n):
     return diag, z
 
 
-def _pt_batch(states):
-    """Partial transpose of a stack of 4x4 matrices."""
-    out = states.copy()
-    out[:, 0, 3], out[:, 1, 2] = states[:, 1, 2], states[:, 0, 3]
-    out[:, 3, 0], out[:, 2, 1] = states[:, 2, 1], states[:, 3, 0]
-    return out
+def _separable(states):
+    """Dense PPT verdict on a stack: ``det PT(rho) >= -1e-12``."""
+    return np.linalg.det(partial_transpose(states)) >= -_TOL
+
+
+def _psd(states):
+    return np.linalg.eigvalsh(states)[:, 0] >= -_TOL
 
 
 # ---------------------------------------------------------------------------
-# Construction and validation
+# Coordinates
 # ---------------------------------------------------------------------------
-
-
-def test_density_matrix_validation():
-    good = np.diag([0.4, 0.3, 0.2, 0.1])
-    DensityMatrix(good)
-    with pytest.raises(InvalidStateError):
-        DensityMatrix(np.eye(3))
-    with pytest.raises(InvalidStateError):
-        DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.2]))  # trace 1.1
-    with pytest.raises(InvalidStateError):
-        DensityMatrix(np.diag([1.2, -0.2, 0.0, 0.0]))  # diag outside [0, 1]
-    bad = good.copy()
-    bad[0, 1] = 0.05  # not symmetric
-    with pytest.raises(InvalidStateError):
-        DensityMatrix(bad)
-    bad = good.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(InvalidStateError):
-        DensityMatrix(bad)
-
-
-def test_bloore_coords_validation():
-    BlooreCoords(diag=[0.25] * 4, z=[0.0] * 6)
-    with pytest.raises(InvalidStateError):
-        BlooreCoords(diag=[0.5, 0.5, 0.0], z=[0.0] * 6)
-    with pytest.raises(InvalidStateError):
-        BlooreCoords(diag=[0.25] * 4, z=[0.0] * 5)
-    with pytest.raises(InvalidStateError):
-        BlooreCoords(diag=[0.25] * 4, z=[1.5] + [0.0] * 5)
-    with pytest.raises(InvalidStateError):
-        BlooreCoords(diag=[0.3, 0.3, 0.3, 0.1001], z=[0.0] * 6)
-    with pytest.raises(InvalidStateError):
-        BlooreCoords(diag=[-0.1, 0.4, 0.4, 0.3], z=[0.0] * 6)
-
-
-def test_bloore_roundtrip():
-    rng = np.random.default_rng(11)
-    diag, z = _random_coords(rng, 50)
-    for k in range(50):
-        c = BlooreCoords(diag=diag[k], z=z[k])
-        rho = from_bloore(c)
-        back = to_bloore(rho)
-        assert np.allclose(back.diag, c.diag, atol=1e-15)
-        assert np.allclose(back.z, c.z, atol=1e-14)
-        assert abs(rho.matrix.trace() - 1.0) < 1e-14
-
-
-def test_degenerate_diagonal_rejected():
-    rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))
-    with pytest.raises(DegenerateStateError):
-        to_bloore(rho)
-    c = BlooreCoords(diag=[0.5, 0.5, 0.0, 0.0], z=[0.0] * 6)
-    with pytest.raises(DegenerateStateError):
-        xi_of(c)
 
 
 def test_xi_of_matches_formula():
-    c = BlooreCoords(diag=[0.4, 0.2, 0.1, 0.3], z=[0.0] * 6)
-    assert xi_of(c) == pytest.approx(0.5 * np.log(0.4 * 0.3 / (0.2 * 0.1)), abs=1e-15)
-    batch = xi_from_diag(np.array([[0.4, 0.2, 0.1, 0.3]]))
-    assert batch[0] == pytest.approx(xi_of(c), abs=1e-15)
+    xi = xi_from_diag(np.array([[0.4, 0.2, 0.1, 0.3]]))
+    assert xi[0] == pytest.approx(0.5 * np.log(0.4 * 0.3 / (0.2 * 0.1)), abs=1e-15)
 
 
 def test_xi_from_diag_zero_entry_is_infinite():
@@ -128,25 +70,21 @@ def test_xi_from_diag_zero_entry_is_infinite():
 
 def test_partial_transpose_swaps_exactly_one_pair():
     rng = np.random.default_rng(21)
-    diag, z = _random_coords(rng, 20)
-    for k in range(20):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        pt = partial_transpose(rho)
-        assert pt.matrix[0, 3] == rho.matrix[1, 2]
-        assert pt.matrix[1, 2] == rho.matrix[0, 3]
-        # everything else untouched
-        mask = np.ones((4, 4), dtype=bool)
-        for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
-            mask[i, j] = False
-        assert np.array_equal(pt.matrix[mask], rho.matrix[mask])
+    rho = assemble_states(*_random_coords(rng, 20))
+    pt = partial_transpose(rho)
+    assert np.array_equal(pt[:, 0, 3], rho[:, 1, 2])
+    assert np.array_equal(pt[:, 1, 2], rho[:, 0, 3])
+    # everything else untouched
+    mask = np.ones((4, 4), dtype=bool)
+    for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+        mask[i, j] = False
+    assert np.array_equal(pt[:, mask], rho[:, mask])
 
 
 def test_partial_transpose_is_involution():
     rng = np.random.default_rng(22)
-    diag, z = _random_coords(rng, 20)
-    for k in range(20):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        assert np.array_equal(partial_transpose(partial_transpose(rho)).matrix, rho.matrix)
+    rho = assemble_states(*_random_coords(rng, 20))
+    assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
 
 def test_forgetting_the_swap_misses_entanglement():
@@ -155,98 +93,54 @@ def test_forgetting_the_swap_misses_entanglement():
     every weight; the real test flips exactly at w = 1/3."""
     for w in (0.4, 0.7, 1.0):
         rho = werner(w)
-        assert float(np.linalg.det(rho.matrix)) >= -1e-15  # the broken test
-        assert not is_separable(rho)  # the real one
+        assert float(np.linalg.det(rho)) >= -1e-15  # the broken test
+        assert not _separable(rho[None])[0]  # the real one
 
 
 def test_werner_threshold():
-    assert is_separable(werner(0.0))
-    assert is_separable(werner(1.0 / 3.0))
-    assert not is_separable(werner(1.0 / 3.0 + 1e-9))
-    assert not is_separable(werner(1.0))
+    states = np.stack([werner(w) for w in (0.0, 1.0 / 3.0, 1.0 / 3.0 + 1e-9, 1.0)])
+    assert _separable(states).tolist() == [True, True, False, False]
     for w in (0.0, 0.25, 0.5, 0.9):
-        ev = np.linalg.eigvalsh(partial_transpose(werner(w)).matrix)
+        ev = np.linalg.eigvalsh(partial_transpose(werner(w)))
         assert ev[0] == pytest.approx((1.0 - 3.0 * w) / 4.0, abs=1e-14)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(ValueError):
         werner(1.5)
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(ValueError):
         werner(-0.1)
 
 
 # ---------------------------------------------------------------------------
-# Positivity and separability predicates
+# Positivity and separability verdicts
 # ---------------------------------------------------------------------------
 
 
-def test_is_psd_input_validation():
-    rho = werner(0.2)
-    with pytest.raises(ValueError):
-        is_psd(rho, tol=-1e-3)
-    with pytest.raises(TypeError):
-        is_psd(rho.matrix)  # bare array is ambiguous
-
-
-def test_predicates_require_psd_input():
-    # |z_12| = 1 with conflicting z_13, z_23 makes Z indefinite.
-    c = BlooreCoords(diag=[0.25] * 4, z=[1.0, 0.9, 0.0, -0.9, 0.0, 0.0])
-    rho = from_bloore(c)
-    assert not is_psd(rho)
-    with pytest.raises(NonPsdError):
-        is_separable(rho)
-    with pytest.raises(NonPsdError):
-        is_absolutely_separable(rho)
-
-
 def test_is_psd_depends_only_on_correlations():
+    """PSD of the assembled state is ``z_psd_mask(z)`` for 15 diagonals per
+    z: the diagonal never changes the answer."""
     rng = np.random.default_rng(31)
-    z_all = rng.uniform(-1.0, 1.0, size=(40, 6))
-    picked = 0
-    for z in z_all:
-        verdicts = set()
-        for _ in range(15):
-            diag = rng.dirichlet([2.5] * 4)
-            c = BlooreCoords(diag=diag, z=z)
-            assert is_psd(c) == is_psd(from_bloore(c))
-            verdicts.add(is_psd(c))
-        assert len(verdicts) == 1  # diagonal never changes the answer
-        picked += 1
-    assert picked == 40
+    z = np.repeat(rng.uniform(-1.0, 1.0, size=(40, 6)), 15, axis=0)
+    diag = rng.dirichlet([2.5] * 4, size=len(z))
+    verdicts = _psd(assemble_states(diag, z)).reshape(40, 15)
+    assert np.array_equal(verdicts, np.repeat(z_psd_mask(z[::15])[:, None], 15, axis=1))
+    assert 0 < verdicts[:, 0].sum() < 40
 
 
 def test_absolutely_separable_examples():
-    assert is_absolutely_separable(werner(0.0))
+    assert abs_separable_mask(werner(0.0)[None])[0]
     # Boundary of the criterion: eigenvalues (l, 1-l, 0, 0) fail for l > 1/2.
-    assert not is_absolutely_separable(werner(1.0))
+    assert not abs_separable_mask(werner(1.0)[None])[0]
     # Absolute separability is strictly stronger than separability.
     rng = np.random.default_rng(32)
-    diag, z = _random_coords(rng, 400)
-    n_abs = n_sep = 0
-    for k in range(400):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        s = is_separable(rho)
-        a = is_absolutely_separable(rho)
-        assert not a or s  # abs-separable implies separable
-        n_sep += s
-        n_abs += a
-    assert 0 < n_abs < n_sep < 400
+    states = assemble_states(*_random_coords(rng, 400))
+    sep = _separable(states)
+    ab = abs_separable_mask(states)
+    assert not np.any(ab & ~sep)  # abs-separable implies separable
+    assert 0 < ab.sum() < sep.sum() < 400
 
 
 # ---------------------------------------------------------------------------
 # Determinant kernels against dense linear algebra
 # ---------------------------------------------------------------------------
-
-
-def test_corr_det_kernels_match_dense_determinants():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        p, q, r = rng.uniform(-1, 1, 3)
-        m3 = np.array([[1, p, q], [p, 1, r], [q, r, 1]], dtype=float)
-        assert corr_det3(p, q, r) == pytest.approx(np.linalg.det(m3), abs=1e-13)
-        s = rng.uniform(-1, 1, 6)
-        m4 = np.eye(4)
-        for k, (i, j) in enumerate(Z_PAIRS):
-            m4[i, j] = m4[j, i] = s[k]
-        assert corr_det4(*s) == pytest.approx(np.linalg.det(m4), abs=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -264,18 +158,19 @@ def test_corr_minor_is_the_dense_principal_minor(rows):
 
 
 def test_principal_minors_match_dense_determinants():
+    """Each 2x2 and 3x3 principal minor of a state and of its partial
+    transpose is ``corr_minor`` of its correlations times the product of
+    the kept diagonal entries."""
     rng = np.random.default_rng(42)
     diag, z = _random_coords(rng, 30)
-    for k in range(30):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        m = rho.matrix
-        two = [np.linalg.det(m[np.ix_(p, p)]) for p in Z_PAIRS]
-        assert np.allclose(principal_minors_2x2(rho), two, atol=1e-14)
-        three = [
-            np.linalg.det(m[np.ix_(keep, keep)])
-            for keep in ([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])
-        ]
-        assert np.allclose(principal_minors_3x3(rho), three, atol=1e-14)
+    rho = assemble_states(diag, z)
+    pt = partial_transpose(rho)
+    for rows in [rows for k in (2, 3) for rows in combinations(range(4), k)]:
+        keep = list(rows)
+        scale = diag[:, keep].prod(axis=1)
+        for dense, s in ((rho, z.T), (pt, pt_correlations(z, xi_from_diag(diag)))):
+            want = np.linalg.det(dense[:, keep][:, :, keep])
+            assert np.allclose(corr_minor(s, rows) * scale, want, atol=1e-14), rows
 
 
 def test_pt_corr_det4_matches_full_determinant():
@@ -283,7 +178,7 @@ def test_pt_corr_det4_matches_full_determinant():
     diag, z = _random_coords(rng, 2000)
     xi = xi_from_diag(diag)
     states = assemble_states(diag, z)
-    full = np.linalg.det(_pt_batch(states))
+    full = np.linalg.det(partial_transpose(states))
     scaled = pt_corr_det4(z, xi) * diag.prod(axis=1)
     assert np.max(np.abs(full - scaled)) < 1e-13
 
@@ -293,7 +188,7 @@ def test_pt_correlations_are_the_dense_partial_transpose():
     entry of the densely partially-transposed state."""
     rng = np.random.default_rng(46)
     diag, z = _random_coords(rng, 2000)
-    pt = _pt_batch(assemble_states(diag, z))
+    pt = partial_transpose(assemble_states(diag, z))
     cols = pt_correlations(z, xi_from_diag(diag))
     assert len(cols) == 6
     for k, (i, j) in enumerate(Z_PAIRS):
@@ -314,12 +209,16 @@ def test_z_psd_mask_matches_eigensolve():
 
 
 def test_assemble_states_matches_scalar_constructor():
+    """``rho_ij = z_ij sqrt(rho_ii rho_jj)``, entry by entry."""
     rng = np.random.default_rng(45)
     diag, z = _random_coords(rng, 10)
     states = assemble_states(diag, z)
     for k in range(10):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        assert np.allclose(states[k], rho.matrix, atol=1e-16)
+        rho = np.diag(diag[k])
+        for (i, j), zij in zip(Z_PAIRS, z[k]):
+            rho[i, j] = rho[j, i] = zij * np.sqrt(diag[k, i] * diag[k, j])
+        assert np.allclose(states[k], rho, atol=1e-16)
+        assert abs(states[k].trace() - 1.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +250,7 @@ def test_determinant_sign_decides_pt_positivity():
     diag, z = _random_coords(rng, 5000)
     xi = xi_from_diag(diag)
     det = pt_corr_det4(z, xi)
-    ev = np.linalg.eigvalsh(_pt_batch(assemble_states(diag, z)))
+    ev = np.linalg.eigvalsh(partial_transpose(assemble_states(diag, z)))
     clear = np.abs(det) > 1e-10
     neg_count = (ev < -1e-12).sum(axis=1)
     assert np.all(neg_count <= 1)
@@ -369,8 +268,8 @@ def test_xi_is_the_only_diagonal_information_that_matters():
     a = np.exp(xi) * b
     diag2 = np.stack([a, b, b, a], axis=1)
     assert np.max(np.abs(xi_from_diag(diag2) - xi)) < 1e-12
-    det1 = np.linalg.det(_pt_batch(assemble_states(diag1, z)))
-    det2 = np.linalg.det(_pt_batch(assemble_states(diag2, z)))
+    det1 = np.linalg.det(partial_transpose(assemble_states(diag1, z)))
+    det2 = np.linalg.det(partial_transpose(assemble_states(diag2, z)))
     ref = pt_corr_det4(z, xi)
     clear = np.abs(ref) > 1e-10
     assert clear.sum() > 9000
@@ -380,23 +279,20 @@ def test_xi_is_the_only_diagonal_information_that_matters():
 
 def test_separable_implies_nonnegative_pt_minors():
     """Separability (PSD partial transpose) forces every principal minor of
-    the partial transpose to be nonnegative; the converse ordering holds for
-    the 3x3 -> 2x2 chain only where positivity propagates."""
+    the partial transpose to be nonnegative."""
     rng = np.random.default_rng(54)
-    diag, z = _random_coords(rng, 500)
-    for k in range(500):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        if not is_separable(rho):
-            continue
-        pt = partial_transpose(rho)
-        assert np.all(principal_minors_3x3(pt) >= -1e-10)
-        assert np.all(principal_minors_2x2(pt) >= -1e-10)
+    states = assemble_states(*_random_coords(rng, 500))
+    pt = partial_transpose(states)[_separable(states)]
+    assert len(pt) > 0
+    for rows in [rows for k in (2, 3) for rows in combinations(range(4), k)]:
+        keep = list(rows)
+        assert np.all(np.linalg.det(pt[:, keep][:, :, keep]) >= -1e-10), rows
 
 
 def test_relabel_symmetry_flips_xi():
     """Swapping the second qubit's basis states permutes the diagonal to
-    (2, 1, 4, 3), reorders the correlations, negates xi, and preserves both
-    positivity and separability."""
+    (2, 1, 4, 3), reorders the correlations, negates xi, and preserves
+    positivity, separability and absolute separability."""
     rng = np.random.default_rng(55)
     diag, z = _random_coords(rng, 4000)
     xi = xi_from_diag(diag)
@@ -405,10 +301,6 @@ def test_relabel_symmetry_flips_xi():
     assert np.max(np.abs(xi_from_diag(diag_r) + xi)) < 1e-12
     assert np.array_equal(z_psd_mask(z_r), z_psd_mask(z))
     assert np.allclose(pt_corr_det4(z_r, -xi), pt_corr_det4(z, xi), atol=1e-13)
-    # spot-check the scalar predicates through the dense representation
-    for k in range(0, 4000, 500):
-        rho = from_bloore(BlooreCoords(diag=diag[k], z=z[k]))
-        rho_r = from_bloore(BlooreCoords(diag=diag_r[k], z=z_r[k]))
-        assert is_psd(rho_r) == is_psd(rho)
-        assert is_separable(rho_r) == is_separable(rho)
-        assert is_absolutely_separable(rho_r) == is_absolutely_separable(rho)
+    rho, rho_r = assemble_states(diag, z), assemble_states(diag_r, z_r)
+    for verdict in (_psd, _separable, abs_separable_mask):
+        assert np.array_equal(verdict(rho_r), verdict(rho)), verdict.__name__
