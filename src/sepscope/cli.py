@@ -55,7 +55,6 @@ from .quadrature import (
 from .sampling import SequenceSpec
 from .sepfun import (
     TAGS,
-    DesfCurve,
     check_tol,
     eval_desf_array,
     jacobian_general_beta,
@@ -302,6 +301,15 @@ _DESF_FIELDS = (
 )
 
 
+def _csv_value(text: str, parse):
+    """``parse(text)``, or ``text`` itself when it does not parse, so that
+    :func:`_load_desf` rejects it by the name of its field."""
+    try:
+        return parse(text)
+    except ValueError:
+        return text
+
+
 def _desf_csv_fields(path: str, text: str) -> dict:
     """The fields of a ``desf`` CSV data section, keyed as its JSON data is."""
     fields, body = {}, []
@@ -309,7 +317,8 @@ def _desf_csv_fields(path: str, text: str) -> dict:
         if line.startswith("# outside: "):
             for part in line[len("# outside: "):].split():
                 key, val = part.split("=")
-                fields[key if key == "n_total" else f"{key}_outside"] = int(val)
+                key = key if key == "n_total" else f"{key}_outside"
+                fields[key] = _csv_value(val, int)
         elif line and not line.startswith("#"):
             body.append(line)
     if len(body) < 2:
@@ -326,20 +335,30 @@ def _desf_csv_fields(path: str, text: str) -> dict:
             raise ValueError(
                 f"{path}: a row has {len(row)} columns, the header {len(header)}"
             )
-    highs = [float(row[idx["bin_hi"]]) for row in rows]
-    fields["bin_edges"] = [float(row[idx["bin_lo"]]) for row in rows] + highs[-1:]
-    fields["n_psd"] = [int(row[idx["n_psd"]]) for row in rows]
-    fields["n_sep"] = [int(row[idx["n_sep"]]) for row in rows]
+
+    def column(name, parse):
+        return [_csv_value(row[idx[name]], parse) for row in rows]
+
+    fields["bin_edges"] = column("bin_lo", float) + column("bin_hi", float)[-1:]
+    fields["n_psd"] = column("n_psd", int)
+    fields["n_sep"] = column("n_sep", int)
     return fields
+
+
+def _is_count(v) -> bool:
+    """A non-negative integer that fits an int64 (a bool is not a count)."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**63
 
 
 def _load_desf(path: str) -> DesfHistogram:
     """Read back a histogram written by ``desf``, in either format.
 
     On top of :func:`_read_artifact`'s digest check, the artifact must come
-    from ``desf``, carry every field of its JSON data (a CSV its
-    ``# outside:`` line), and have one more bin edge than each count
-    column; otherwise ``ValueError``.
+    from ``desf`` and carry every field of its JSON data (a CSV its
+    ``# outside:`` line).  Every count must be a non-negative integer, no
+    ``n_sep`` may exceed its ``n_psd``, and the bin edges must be finite,
+    strictly increasing and one more than each count column.  Otherwise
+    ``ValueError``, naming the field.
     """
     manifest, data = _read_artifact(path)
     if manifest.get("subcommand") != "desf":
@@ -351,7 +370,16 @@ def _load_desf(path: str) -> DesfHistogram:
     missing = [k for k in _DESF_FIELDS if not isinstance(data, dict) or k not in data]
     if missing:
         raise ValueError(f"{path} lacks the histogram fields {', '.join(missing)}")
-    edges = np.asarray(data["bin_edges"], dtype=float)
+    for key in _DESF_FIELDS[1:]:
+        value = data[key]
+        many = key in ("n_psd", "n_sep") and isinstance(value, list)
+        if not all(map(_is_count, value if many else [value])):
+            raise ValueError(f"{path}: {key} must hold non-negative integer counts")
+    raw_edges = data["bin_edges"]
+    if not (isinstance(raw_edges, list) and all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in raw_edges)):
+        raise ValueError(f"{path}: bin_edges must be a list of numbers")
+    edges = np.asarray(raw_edges, dtype=float)
     n_psd = np.asarray(data["n_psd"], dtype=np.int64)
     n_sep = np.asarray(data["n_sep"], dtype=np.int64)
     if not (edges.ndim == n_psd.ndim == n_sep.ndim == 1
@@ -360,7 +388,11 @@ def _load_desf(path: str) -> DesfHistogram:
             f"{path}: {edges.size} bin edges for {n_psd.size} n_psd "
             f"and {n_sep.size} n_sep counts"
         )
-    totals = {k: int(data[k]) for k in ("n_psd_outside", "n_sep_outside", "n_total")}
+    if edges.size < 2 or not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"{path}: bin_edges must be finite and strictly increasing")
+    totals = {k: data[k] for k in ("n_psd_outside", "n_sep_outside", "n_total")}
+    if np.any(n_sep > n_psd) or totals["n_sep_outside"] > totals["n_psd_outside"]:
+        raise ValueError(f"{path}: an n_sep count exceeds its n_psd count")
     return DesfHistogram(bin_edges=edges, n_psd=n_psd, n_sep=n_sep, **totals)
 
 
@@ -370,12 +402,14 @@ def _load_desf(path: str) -> DesfHistogram:
 
 
 def _check_tags(tags, valid) -> None:
-    for tag in tags:
+    for k, tag in enumerate(tags):
         if tag not in valid:
             raise _UsageError(
                 f"unknown curve tag {tag!r}; valid tags: "
                 + ", ".join(sorted(valid))
             )
+        if tag in tags[:k]:
+            raise _UsageError(f"curve tag {tag!r} is given twice")
 
 
 def _cmd_curves(args) -> int:
@@ -400,7 +434,7 @@ def _cmd_curves(args) -> int:
             else:
                 cols[tag] = jacobian_general_beta(args.beta, grid, tol=args.tol)
         else:
-            cols[tag] = eval_desf_array(DesfCurve(tag), grid)
+            cols[tag] = eval_desf_array(tag, grid)
     params = {"tags": tags, "grid": args.grid, "beta": args.beta, "tol": args.tol}
     header = ["xi"] + tags
     rows = zip(grid, *(cols[t] for t in tags))
@@ -414,7 +448,7 @@ def _cmd_curves_residual(args) -> int:
     tag = args.tags.strip()
     _check_tags([tag], set(TAGS))
     hist = _load_desf(args.residual)
-    cmp_ = compare_curves(hist, DesfCurve(tag), min_count=args.min_count)
+    cmp_ = compare_curves(hist, tag, min_count=args.min_count)
     params = {"tags": [tag], "residual": os.path.basename(args.residual),
               "min_count": args.min_count}
     summary = (
@@ -423,7 +457,7 @@ def _cmd_curves_residual(args) -> int:
         f"used={cmp_.n_used} skipped={cmp_.n_skipped}"
     )
     header = ("xi_mid", "ratio", "ref", "residual", "sigma", "zscore")
-    ref = eval_desf_array(DesfCurve(tag), hist.xi_mid)
+    ref = eval_desf_array(tag, hist.xi_mid)
     rows = zip(hist.xi_mid, hist.ratio, ref, cmp_.residual, cmp_.sigma, cmp_.zscore)
     data = {
         "xi_mid": hist.xi_mid.tolist(),

@@ -48,7 +48,7 @@ from .qstate import (
     z_psd_mask,
 )
 from .sampling import SequenceSpec, cube_to_bloore_batch, next_points
-from .sepfun import DesfCurve, eval_desf_array
+from .sepfun import eval_desf_array
 
 __all__ = [
     "EstimateResult",
@@ -320,10 +320,16 @@ class DesfHistogram:
             raise ValueError(f"{x} lies outside the binned range")
         return i
 
-    def to_curve(self) -> DesfCurve:
-        """The histogram as an empirical curve (empty bins become 0)."""
+    def ratio_at(self, xi) -> np.ndarray:
+        """The histogram as a piecewise-constant curve: at each ``xi``
+        (scalar or array; the result has its shape) the ratio of the
+        half-open bin [lo, hi) holding it, 0 for an empty bin and 0 outside
+        the binned range."""
+        x = np.asarray(xi, dtype=float)
+        idx = np.searchsorted(self.bin_edges, x, side="right") - 1
+        inside = (idx >= 0) & (x < self.bin_edges[-1])
         values = np.nan_to_num(self.ratio, nan=0.0)
-        return DesfCurve.empirical(self.bin_edges, values)
+        return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
 
 
 def _make_desf_kernel(edges: np.ndarray):
@@ -489,13 +495,14 @@ class CurveComparison:
 
 
 def compare_curves(
-    hist: DesfHistogram, curve: DesfCurve, *, min_count: int = 10
+    hist: DesfHistogram, tag: str, *, min_count: int = 10
 ) -> CurveComparison:
-    """Compare a DESF histogram with a curve evaluated at bin midpoints."""
+    """Compare a DESF histogram with the curve ``tag`` evaluated at bin
+    midpoints."""
     if min_count < 1:  # an empty bin has no ratio to compare
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     mid = hist.xi_mid
-    ref = eval_desf_array(curve, mid)
+    ref = eval_desf_array(tag, mid)
     used = hist.n_psd >= min_count
     residual = np.where(used, hist.ratio - ref, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):

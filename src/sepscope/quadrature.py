@@ -21,7 +21,7 @@ import numpy as np
 from .errors import QuadratureError
 from .sepfun import (
     EVEN_TAGS,
-    DesfCurve,
+    check_tag,
     check_tol,
     eval_desf_array,
     jacobian_general_beta,
@@ -173,33 +173,27 @@ def integrate_real_line(
     return _adaptive(f, _segment_points(-_HALF_RANGE, _HALF_RANGE, interior), tol, max_evals)
 
 
-def separability_probability(
-    curve: DesfCurve,
-    tol: float = 1e-10,
-    *,
-    even_shortcut: bool = True,
-) -> QuadratureResult:
-    """The probability ``Int S(xi) J(xi) dxi`` for a separability curve.
+def separability_probability(tag: str, tol: float = 1e-10) -> QuadratureResult:
+    """The probability ``Int S(xi) J(xi) dxi`` for the curve ``tag``.
 
     Even tags integrate ``2 S J`` over ``[0, L]`` (the density is even; the
     doubling is exact, so this is the half-line pass at ``tol/2`` scaled by
-    2, bit for bit); ``even_shortcut=False`` forces the full-line path,
-    which the test suite uses to confirm both agree.  Empirical curves seed their bin edges as
-    panel boundaries so the piecewise-constant integrand stays exact.
+    2, bit for bit); every other tag takes the full line.  Raises
+    ``ValueError`` unless ``tag`` is one of ``TAGS``.
     """
+    check_tag(tag)
 
     def integrand(x):
-        return eval_desf_array(curve, x) * jacobian_xi(x)
+        return eval_desf_array(tag, x) * jacobian_xi(x)
 
-    extra = tuple(curve.bin_edges) if curve.tag == "empirical" else ()
-    if curve.tag in EVEN_TAGS and even_shortcut:
+    if tag in EVEN_TAGS:
         return _adaptive(
             lambda x: 2.0 * integrand(x),
-            _segment_points(0.0, _HALF_RANGE, {1.0, 5.0, *(abs(e) for e in extra)}),
+            _segment_points(0.0, _HALF_RANGE, {1.0, 5.0}),
             tol,
             _MAX_EVALS,
         )
-    return integrate_real_line(integrand, tol, breakpoints=extra)
+    return integrate_real_line(integrand, tol)
 
 
 #: Exact value of the squared-candidate probability in the beta = 2 ensemble.
@@ -217,10 +211,9 @@ def complex_speculation_probability(tol: float = 1e-6) -> QuadratureResult:
     outer integrand evaluations.
     """
     inner_tol = 0.25 * tol
-    conj = DesfCurve("conjecture")
 
     def integrand(x):
-        s = eval_desf_array(conj, x)
+        s = eval_desf_array("conjecture", x)
         return s * s * jacobian_general_beta(2.0, x, tol=inner_tol)
 
     res = integrate_real_line(integrand, 0.5 * tol)
@@ -286,6 +279,6 @@ def bound_table(tol: float = 1e-10) -> list[BoundRow]:
     """Quadrature of every closed-form tag against its reference value,
     one :func:`bound_row` per tag in the fixed tag order."""
     return [
-        bound_row(tag, expr, ref, separability_probability, DesfCurve(tag), tol)
+        bound_row(tag, expr, ref, separability_probability, tag, tol)
         for tag, (expr, ref) in _BOUND_REFS.items()
     ]

@@ -27,11 +27,12 @@ Curve tags
 ``conjecture``     candidate true DESF, intercept 4095 pi^2 / 2^16
 ``previous``       earlier candidate, intercept 135 pi^2 / 2176
 ``product_int``    product three_right(xi) * three_right(-xi)
-``empirical``      piecewise-constant histogram curve (midpoint evaluation)
 
-The closed-form curves are one table, ``_CURVES``: each tag maps to its
-branch at xi = a > 0, its branch at xi = -a, and its exact intercept at
+A curve is its tag.  The curves are one table, ``_CURVES``: each tag maps to
+its branch at xi = a > 0, its branch at xi = -a, and its exact intercept at
 xi = 0; ``TAGS``, ``EVEN_TAGS`` and :func:`eval_desf_array` all read it.
+(The one empirical curve, a sampled histogram, evaluates itself:
+``estimator.DesfHistogram.ratio_at``.)
 A NaN ``xi`` gives NaN for every closed-form tag.  All closed-form
 evaluation is vectorized; scalars go through the same code.
 
@@ -51,7 +52,6 @@ quadrature command loads ``scipy``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -62,11 +62,11 @@ from .errors import QuadratureError
 __all__ = [
     "TAGS",
     "EVEN_TAGS",
-    "DesfCurve",
     "eval_desf_array",
     "jacobian_xi",
     "jacobian_general_beta",
     "JACOBIAN_AT_ZERO",
+    "check_tag",
     "check_tol",
 ]
 
@@ -163,71 +163,21 @@ TAGS = tuple(_CURVES)
 EVEN_TAGS = frozenset(tag for tag, (pos, neg, _) in _CURVES.items() if pos is neg)
 
 
-@dataclass(frozen=True)
-class DesfCurve:
-    """A tagged separability-function curve.
+def eval_desf_array(tag: str, xi) -> np.ndarray:
+    """Value of the curve ``tag`` at each ``xi`` (scalar or array; the
+    result has its shape).
 
-    Closed-form curves carry only ``tag``; empirical curves additionally
-    carry histogram ``bin_edges`` (length B+1, strictly increasing) and per-bin
-    ``values`` (length B, NaN for empty bins).  Empirical evaluation is
-    piecewise constant on half-open bins ``[lo, hi)`` and returns 0 outside
-    the covered range.
-    """
-
-    tag: str
-    bin_edges: np.ndarray | None = None
-    values: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.tag in TAGS:
-            if self.bin_edges is not None or self.values is not None:
-                raise ValueError(f"closed-form tag {self.tag!r} takes no grid data")
-            return
-        if self.tag != "empirical":
-            raise ValueError(f"unknown curve tag {self.tag!r}; expected one of {TAGS}")
-        edges = np.asarray(self.bin_edges, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin_edges must be strictly increasing, length >= 2")
-        if vals.shape != (edges.size - 1,):
-            raise ValueError("values must have one entry per bin")
-        edges.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def empirical(cls, bin_edges, values) -> "DesfCurve":
-        return cls("empirical", bin_edges, values)
-
-
-def _eval_empirical(curve: DesfCurve, x: np.ndarray) -> np.ndarray:
-    edges, vals = curve.bin_edges, curve.values
-    idx = np.searchsorted(edges, x, side="right") - 1
-    inside = (idx >= 0) & (idx < vals.size) & (x < edges[-1])
-    out = np.zeros_like(x)
-    out[inside] = vals[idx[inside]]
-    return out
-
-
-def eval_desf_array(curve, xi) -> np.ndarray:
-    """Value of the curve at each ``xi`` (scalar or array; the result has
-    its shape).
-
-    ``curve`` may be a :class:`DesfCurve` or a bare closed-form tag string.
     Branches are selected by the sign of ``xi``; the xi = 0 value is the
-    stored two-sided limit, and a NaN ``xi`` gives NaN for every closed-form
-    tag.  All closed forms are finite, nonnegative and bounded by 1 for
-    every other input, infinities included.
+    stored two-sided limit, and a NaN ``xi`` gives NaN for every tag.  All
+    curves are finite, nonnegative and bounded by 1 for every other input,
+    infinities included.  Raises ``ValueError`` unless ``tag`` is one of
+    ``TAGS``.
     """
-    if isinstance(curve, str):
-        curve = DesfCurve(curve)
+    check_tag(tag)
     x = np.asarray(xi, dtype=float)
     scalar_shape = x.shape
     x = np.atleast_1d(x)
-    if curve.tag == "empirical":
-        return _eval_empirical(curve, x).reshape(scalar_shape)
-    pos_branch, neg_branch, at_zero = _CURVES[curve.tag]
+    pos_branch, neg_branch, at_zero = _CURVES[tag]
     out = np.where(x == 0, at_zero, np.nan)
     pos, neg = x > 0, x < 0
     out[pos] = pos_branch(x[pos])
@@ -349,6 +299,12 @@ def jacobian_xi(xi) -> np.ndarray:
     if np.any(~small):
         out[~small] = _jacobian_direct(x[~small])
     return out.reshape(shape)
+
+
+def check_tag(tag) -> None:
+    """Raise ``ValueError`` unless ``tag`` names a curve of ``TAGS``."""
+    if not isinstance(tag, str) or tag not in _CURVES:
+        raise ValueError(f"unknown curve tag {tag!r}; expected one of {TAGS}")
 
 
 def check_tol(tol: float) -> None:

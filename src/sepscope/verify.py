@@ -175,12 +175,14 @@ def _bound_table(workers, tol, bound, product_bound):
     return True, f"{len(rows)} rows within tolerance ({', '.join(notes)})"
 
 
-def _even_shortcut(workers, tol, bound):
+def _half_line_doubling(workers, tol, bound):
+    """The even tags' half-line pass against a full-line pass of ``S J``."""
     worst = 0.0
     for tag in ("dom", "int", "conjecture", "previous", "product_int"):
-        curve = sepfun.DesfCurve(tag)
-        a = quadrature.separability_probability(curve, tol, even_shortcut=True)
-        b = quadrature.separability_probability(curve, tol, even_shortcut=False)
+        a = quadrature.separability_probability(tag, tol)
+        b = quadrature.integrate_real_line(
+            lambda x: sepfun.eval_desf_array(tag, x) * sepfun.jacobian_xi(x), tol
+        )
         worst = max(worst, abs(a.value - b.value))
     return worst <= bound, f"half-line doubling vs full line, max diff {worst:.2e}"
 
@@ -188,9 +190,8 @@ def _even_shortcut(workers, tol, bound):
 def _error_estimate_valid(workers):
     worst = 0.0
     for tag in ("dom", "three_left", "product_int"):
-        curve = sepfun.DesfCurve(tag)
-        loose = quadrature.separability_probability(curve, 1e-6)
-        tight = quadrature.separability_probability(curve, 1e-8)
+        loose = quadrature.separability_probability(tag, 1e-6)
+        tight = quadrature.separability_probability(tag, 1e-8)
         excess = abs(loose.value - tight.value) - (loose.abs_err_est + 1e-8)
         worst = max(worst, excess)
     ok = worst <= 0.0
@@ -414,7 +415,10 @@ def _curve_reconstruction(workers, seed, n):
     spec = _prng(seed)
     hist = estimator.estimate_desf(spec, n, bins=81, ximax=6.0, workers=workers)
     direct = estimator.estimate_sep_probability(spec, n, workers=workers)
-    via_curve = quadrature.separability_probability(hist.to_curve(), 1e-9)
+    via_curve = quadrature.integrate_real_line(
+        lambda x: hist.ratio_at(x) * sepfun.jacobian_xi(x), 1e-9,
+        breakpoints=hist.bin_edges,
+    )
     # The curve integral re-weights bins by the exact density instead of the
     # sampled one; at these sizes the two agree to a couple of direct-method
     # standard errors.
@@ -557,7 +561,7 @@ CHECKS = [
           dict(xs=(0.25, 1.0, 2.5), tol=1e-10, bound=1e-8)),
     Check("bound-table", "quick", _bound_table,
           dict(tol=1e-10, bound=1e-8, product_bound=1e-5)),
-    Check("even-shortcut-consistency", "quick", _even_shortcut,
+    Check("even-shortcut-consistency", "quick", _half_line_doubling,
           dict(tol=1e-12, bound=1e-11)),
     Check("quadrature-error-estimate-valid", "quick", _error_estimate_valid),
     Check("beta2-speculation", "quick", _beta2_speculation, dict(tol=1e-6, bound=2e-6)),

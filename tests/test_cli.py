@@ -462,6 +462,61 @@ def test_residual_rejects_bad_json_histogram(tmp_path, capsys, case, message):
     assert message in capsys.readouterr().err
 
 
+def _swapped(edges):
+    return edges[:3] + edges[4:5] + edges[3:4] + edges[5:]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_total", None, "n_total must hold non-negative integer counts"),
+    ("n_psd", [{}] * 11, "n_psd must hold non-negative integer counts"),
+    ("n_psd", [1.5] * 11, "n_psd must hold non-negative integer counts"),
+    ("n_sep_outside", True, "n_sep_outside must hold non-negative integer counts"),
+    ("n_psd_outside", -1, "n_psd_outside must hold non-negative integer counts"),
+    ("n_sep", lambda d: [p + 1 for p in d["n_psd"]], "an n_sep count exceeds"),
+    ("bin_edges", [None] * 12, "bin_edges must be a list of numbers"),
+    ("bin_edges", lambda d: _swapped(d["bin_edges"]),
+     "bin_edges must be finite and strictly increasing"),
+    ("bin_edges", lambda d: [-math.inf] + d["bin_edges"][1:],
+     "bin_edges must be finite and strictly increasing"),
+], ids=["null-total", "object-counts", "fractional-counts", "bool-count",
+        "negative-count", "sep-exceeds-psd", "null-edges", "unsorted-edges",
+        "infinite-edge"])
+def test_residual_rejects_ill_typed_json_histogram(tmp_path, capsys, field, value,
+                                                   message):
+    """A resealed JSON histogram whose fields have the wrong type or break
+    the count and edge invariants exits 3 with a message naming the field,
+    rather than crashing or being silently coerced."""
+    _, json_path = _desf_pair(tmp_path)
+    payload = json.loads(json_path.read_text())
+    data = payload["data"]
+    data[field] = value(data) if callable(value) else value
+    payload["manifest"]["output_sha256"] = hashlib.sha256(
+        cli._canonical(data).encode("utf-8")
+    ).hexdigest()
+    json_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(json_path), "--tags", "conjecture"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("n_psd", "1.5"), ("n_sep", "-2")])
+def test_residual_rejects_ill_typed_csv_histogram(tmp_path, capsys, column, value):
+    """The CSV reader names the column of a count that is not a
+    non-negative integer."""
+    csv_path, _ = _desf_pair(tmp_path)
+    text = csv_path.read_text()
+    lines = text.split("\n")
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("bin_lo,"))
+    k = lines[header].split(",").index(column)
+    cells = lines[header + 4].split(",")
+    cells[k] = value
+    lines[header + 4] = ",".join(cells)
+    csv_path.write_text(_resealed(text, "\n".join(lines[2:])))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture"]) == 3
+    assert f"{column} must hold non-negative integer counts" in capsys.readouterr().err
+
+
 def test_residual_refuses_a_bounds_artifact(tmp_path, capsys):
     """A well-formed artifact of another subcommand is not a histogram."""
     out = tmp_path / "bounds.csv"
@@ -518,6 +573,16 @@ def test_curves_general_beta_column(tmp_path):
 def test_unknown_curve_tag_is_a_usage_error(capsys):
     assert main(["curves", "--tags", "nope"]) == 2
     assert "unknown curve tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_repeated_curve_tag_is_a_usage_error(capsys, fmt):
+    """A JSON table keys its columns by tag, so a repeated tag would give
+    the two formats different columns: it is refused in both."""
+    assert main(["curves", "--tags", "dom,int,dom", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert "curve tag 'dom' is given twice" in captured.err
+    assert captured.out == ""
 
 
 def test_bad_grid_is_a_numeric_error():

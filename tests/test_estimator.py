@@ -8,7 +8,6 @@ import pytest
 import sepscope.estimator as estimator
 from sepscope.errors import InsufficientSamplesError
 from sepscope.estimator import (
-    CurveComparison,
     DesfHistogram,
     EstimateResult,
     compare_curves,
@@ -18,9 +17,9 @@ from sepscope.estimator import (
     estimate_sep_probability,
 )
 from sepscope.qstate import assemble_states, corr_minor, pt_correlations, z_psd_mask
-from sepscope.quadrature import separability_probability
+from sepscope.quadrature import integrate_real_line
 from sepscope.sampling import SequenceSpec
-from sepscope.sepfun import DesfCurve, eval_desf_array
+from sepscope.sepfun import eval_desf_array, jacobian_xi
 from sepscope.verify import _MINORS
 
 
@@ -266,9 +265,24 @@ def test_histogram_mechanics():
         hist.bin_index(3.0)
     with pytest.raises(ValueError):
         hist.bin_index(-0.1)
-    curve = hist.to_curve()
-    assert curve.tag == "empirical"
-    assert np.array_equal(curve.values, [0.5, 0.0, 0.25])  # empty bin -> 0
+
+
+def test_ratio_at_half_open_bins():
+    """The histogram as a curve: constant on each half-open bin [lo, hi),
+    0 on an empty bin and 0 outside the binned range."""
+    hist = DesfHistogram(
+        bin_edges=np.array([0.0, 1.0, 2.0, 3.0]),
+        n_psd=np.array([10, 5, 0]),
+        n_sep=np.array([3, 3, 0]),
+        n_psd_outside=0,
+        n_sep_outside=0,
+        n_total=100,
+    )
+    xs = np.array([-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.999, 2.0, 2.5, 3.0, 3.5, np.nan])
+    expect = np.array([0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(hist.ratio_at(xs), expect)
+    assert hist.ratio_at(1.0) == 0.6  # bins are [lo, hi)
+    assert np.shape(hist.ratio_at(1.0)) == ()
 
 
 def test_estimate_desf_validation():
@@ -322,7 +336,9 @@ def test_histogram_curve_integral_matches_direct_estimate():
     n = 200_000
     hist = estimate_desf(spec, n, bins=61, ximax=6.0)
     direct = estimate_sep_probability(spec, n)
-    via = separability_probability(hist.to_curve(), 1e-9)
+    via = integrate_real_line(
+        lambda x: hist.ratio_at(x) * jacobian_xi(x), 1e-9, breakpoints=hist.bin_edges
+    )
     assert abs(via.value - direct.mean) <= 2.0 * direct.stderr + 1e-3
 
 
@@ -471,21 +487,10 @@ def test_box_minor_is_certain_on_its_easy_side():
 # ---------------------------------------------------------------------------
 
 
-def test_compare_curves_self_comparison_is_exact():
-    hist = estimate_desf(_prng(75), 100_000, bins=41)
-    cmp_ = compare_curves(hist, hist.to_curve(), min_count=10)
-    assert isinstance(cmp_, CurveComparison)
-    used = ~np.isnan(cmp_.residual)
-    assert np.all(cmp_.residual[used] == 0.0)
-    assert cmp_.max_abs_z == 0.0
-    assert cmp_.mean_signed == 0.0
-    assert cmp_.n_used + cmp_.n_skipped == 41
-
-
 def test_compare_curves_separates_right_from_wrong():
     hist = estimate_desf(_prng(73), 200_000, bins=61, ximax=6.0)
-    good = compare_curves(hist, DesfCurve("conjecture"), min_count=20)
-    wrong = compare_curves(hist, DesfCurve("int"), min_count=20)
+    good = compare_curves(hist, "conjecture", min_count=20)
+    wrong = compare_curves(hist, "int", min_count=20)
     assert good.max_abs_z < 4.0
     assert wrong.max_abs_z > 10.0
 
@@ -499,9 +504,8 @@ def test_compare_curves_flat_reference_bins():
         n_sep_outside=0,
         n_total=1000,
     )
-    # a reference pinned at 1 has zero binomial width
-    curve = DesfCurve.empirical([-0.5, 0.5, 1.5], [1.0, 1.0])
-    cmp_ = compare_curves(hist, curve)
+    # two_left is exactly 1 for xi >= 0, a reference of zero binomial width
+    cmp_ = compare_curves(hist, "two_left")
     assert cmp_.zscore[0] == 0.0  # residual zero on a flat bin
     assert np.isinf(cmp_.zscore[1])  # any miss on a flat bin is infinite
 

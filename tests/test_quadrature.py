@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sepscope.errors import QuadratureError
+from sepscope.estimator import DesfHistogram
 from sepscope.quadrature import (
     SPECULATION_REF_VALUE,
     BoundRow,
@@ -16,7 +17,7 @@ from sepscope.quadrature import (
     integrate_real_line,
     separability_probability,
 )
-from sepscope.sepfun import DesfCurve, jacobian_general_beta, jacobian_xi
+from sepscope.sepfun import eval_desf_array, jacobian_general_beta, jacobian_xi
 
 #: Tags whose reference values are exact expressions (product_int's is a
 #: six-digit decimal, so it cannot witness tight error estimates).
@@ -75,7 +76,7 @@ def test_tol_validation():
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             integrate_real_line(jacobian_xi, tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            separability_probability(DesfCurve("dom"), tol)
+            separability_probability("dom", tol)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             jacobian_general_beta(2.0, np.array([0.0, 1.0]), tol=tol)
 
@@ -84,7 +85,7 @@ def test_even_shortcut_failure_quotes_the_callers_tolerance():
     """The even path integrates 2 S J on the half line at the full ``tol``,
     so a failure names that tolerance and carries the whole-line estimate."""
     with pytest.raises(QuadratureError, match="tolerance 1e-16 ") as exc:
-        separability_probability(DesfCurve("dom"), 1e-16)
+        separability_probability("dom", 1e-16)
     assert exc.value.result.value == pytest.approx(1024 / (135 * math.pi**2), abs=1e-12)
 
 
@@ -126,7 +127,7 @@ def test_error_estimates_are_valid_bounds():
     for tag, exact in _EXACT_REFS.items():
         diffs = []
         for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-            res = separability_probability(DesfCurve(tag), tol)
+            res = separability_probability(tag, tol)
             diff = abs(res.value - exact)
             diffs.append(diff)
             assert res.abs_err_est <= tol, (tag, tol)
@@ -135,18 +136,36 @@ def test_error_estimates_are_valid_bounds():
 
 
 def test_even_shortcut_matches_full_line():
+    """An even tag's half-line pass agrees with a full-line pass of S J."""
     for tag in ("dom", "int", "conjecture", "previous", "product_int"):
-        curve = DesfCurve(tag)
-        half = separability_probability(curve, 1e-12, even_shortcut=True)
-        full = separability_probability(curve, 1e-12, even_shortcut=False)
+        half = separability_probability(tag, 1e-12)
+        full = integrate_real_line(
+            lambda x: eval_desf_array(tag, x) * jacobian_xi(x), 1e-12
+        )
         assert abs(half.value - full.value) < 1e-11
 
 
+@pytest.mark.parametrize("tag", ["nope", "empirical"])
+def test_unknown_tag_is_refused(tag):
+    with pytest.raises(ValueError, match=f"unknown curve tag {tag!r}"):
+        separability_probability(tag, 1e-8)
+
+
 def test_empirical_curve_integration_is_exact():
-    """A piecewise-constant curve must integrate to exactly the bin values
-    times the density mass of each bin (edges are seeded as panel bounds)."""
-    curve = DesfCurve.empirical([-1.0, 0.0, 1.0], [0.5, 0.25])
-    res = separability_probability(curve, 1e-12)
+    """A histogram, as its own piecewise-constant curve, integrates to
+    exactly the bin ratios times the density mass of each bin (its edges
+    are seeded as panel bounds)."""
+    hist = DesfHistogram(
+        bin_edges=np.array([-1.0, 0.0, 1.0]),
+        n_psd=np.array([2, 4]),
+        n_sep=np.array([1, 1]),
+        n_psd_outside=0,
+        n_sep_outside=0,
+        n_total=10,
+    )
+    res = integrate_real_line(
+        lambda x: hist.ratio_at(x) * jacobian_xi(x), 1e-12, breakpoints=hist.bin_edges
+    )
     mass = integrate_real_line(
         lambda x: np.where((x >= 0) & (x < 1), jacobian_xi(x), 0.0),
         1e-13,

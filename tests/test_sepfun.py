@@ -12,7 +12,6 @@ from sepscope.sepfun import (
     EVEN_TAGS,
     JACOBIAN_AT_ZERO,
     TAGS,
-    DesfCurve,
     eval_desf_array,
     _jacobi_rule,
     _jacobian_direct,
@@ -30,25 +29,19 @@ _GRID = np.linspace(-10.0, 10.0, 1001)
 
 
 def test_curve_validation():
+    """A curve is one of the closed-form tags; nothing else evaluates."""
     for tag in TAGS:
-        DesfCurve(tag)
-    with pytest.raises(ValueError):
-        DesfCurve("nope")
-    with pytest.raises(ValueError):
-        DesfCurve("dom", bin_edges=[0, 1], values=[0.5])
-    with pytest.raises(ValueError):
-        DesfCurve.empirical([0.0, 1.0, 0.5], [0.3, 0.3])  # not increasing
-    with pytest.raises(ValueError):
-        DesfCurve.empirical([0.0, 1.0], [0.3, 0.4])  # wrong value count
-    with pytest.raises(ValueError):
-        DesfCurve.empirical([0.5], [])  # too few edges
+        assert eval_desf_array(tag, 0.5) >= 0.0
+    for bad in ("nope", "empirical", None):
+        with pytest.raises(ValueError, match="unknown curve tag"):
+            eval_desf_array(bad, 0.5)
 
 
 def test_scalar_and_array_paths_agree():
     for tag in TAGS:
         vals = eval_desf_array(tag, _GRID[::50])
         for x, v in zip(_GRID[::50], vals):
-            assert eval_desf_array(DesfCurve(tag), float(x)) == v
+            assert eval_desf_array(tag, float(x)) == v
 
 
 # The splice of the mirrored 3x3 branch at xi = -2 and its neighbours, signed
@@ -88,20 +81,6 @@ def test_curve_values_are_pinned():
 def test_nan_xi_gives_nan(tag):
     assert np.isnan(eval_desf_array(tag, [np.nan])).all()
     assert math.isnan(eval_desf_array(tag, math.nan))
-
-
-def test_empirical_half_open_bins():
-    curve = DesfCurve.empirical([0.0, 1.0, 2.0], [0.3, 0.6])
-    xs = np.array([-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.999, 2.0, 2.5])
-    expect = np.array([0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0])
-    assert np.array_equal(eval_desf_array(curve, xs), expect)
-    assert eval_desf_array(curve, 1.0) == 0.6  # bins are [lo, hi)
-
-
-def test_empirical_nan_bins_pass_through():
-    curve = DesfCurve.empirical([0.0, 1.0, 2.0], [np.nan, 0.6])
-    assert np.isnan(eval_desf_array(curve, 0.5))
-    assert eval_desf_array(curve, 1.5) == 0.6
 
 
 # ---------------------------------------------------------------------------
