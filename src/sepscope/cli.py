@@ -316,7 +316,9 @@ def _desf_csv_fields(path: str, text: str) -> dict:
     for line in text.splitlines():
         if line.startswith("# outside: "):
             for part in line[len("# outside: "):].split():
-                key, val = part.split("=")
+                key, eq, val = part.partition("=")
+                if not eq:
+                    raise ValueError(f"{path}: cannot read {part!r} on the '# outside:' line")
                 key = key if key == "n_total" else f"{key}_outside"
                 fields[key] = _csv_value(val, int)
         elif line and not line.startswith("#"):
@@ -339,7 +341,10 @@ def _desf_csv_fields(path: str, text: str) -> dict:
     def column(name, parse):
         return [_csv_value(row[idx[name]], parse) for row in rows]
 
-    fields["bin_edges"] = column("bin_lo", float) + column("bin_hi", float)[-1:]
+    lo, hi = column("bin_lo", float), column("bin_hi", float)
+    if hi[:-1] != lo[1:]:
+        raise ValueError(f"{path}: a row's bin_hi is not the next row's bin_lo")
+    fields["bin_edges"] = lo + hi[-1:]
     fields["n_psd"] = column("n_psd", int)
     fields["n_sep"] = column("n_sep", int)
     return fields
@@ -355,10 +360,10 @@ def _load_desf(path: str) -> DesfHistogram:
 
     On top of :func:`_read_artifact`'s digest check, the artifact must come
     from ``desf`` and carry every field of its JSON data (a CSV its
-    ``# outside:`` line).  Every count must be a non-negative integer, no
-    ``n_sep`` may exceed its ``n_psd``, and the bin edges must be finite,
-    strictly increasing and one more than each count column.  Otherwise
-    ``ValueError``, naming the field.
+    ``# outside:`` line).  Counts are non-negative integers; no ``n_sep``
+    exceeds its ``n_psd``, nor the positives ``n_total``; the bin edges are
+    finite, increasing, one more than each count column and (in a CSV) each
+    ``bin_hi`` the next ``bin_lo``.  Otherwise ``ValueError``, naming the field.
     """
     manifest, data = _read_artifact(path)
     if manifest.get("subcommand") != "desf":
@@ -393,6 +398,8 @@ def _load_desf(path: str) -> DesfHistogram:
     totals = {k: data[k] for k in ("n_psd_outside", "n_sep_outside", "n_total")}
     if np.any(n_sep > n_psd) or totals["n_sep_outside"] > totals["n_psd_outside"]:
         raise ValueError(f"{path}: an n_sep count exceeds its n_psd count")
+    if sum(data["n_psd"]) + totals["n_psd_outside"] > totals["n_total"]:
+        raise ValueError(f"{path}: n_total is below the positives the histogram counts")
     return DesfHistogram(bin_edges=edges, n_psd=n_psd, n_sep=n_sep, **totals)
 
 
@@ -448,7 +455,8 @@ def _cmd_curves_residual(args) -> int:
     tag = args.tags.strip()
     _check_tags([tag], set(TAGS))
     hist = _load_desf(args.residual)
-    cmp_ = compare_curves(hist, tag, min_count=args.min_count)
+    ref = eval_desf_array(tag, hist.xi_mid)
+    cmp_ = compare_curves(hist, ref, min_count=args.min_count)
     params = {"tags": [tag], "residual": os.path.basename(args.residual),
               "min_count": args.min_count}
     summary = (
@@ -457,7 +465,6 @@ def _cmd_curves_residual(args) -> int:
         f"used={cmp_.n_used} skipped={cmp_.n_skipped}"
     )
     header = ("xi_mid", "ratio", "ref", "residual", "sigma", "zscore")
-    ref = eval_desf_array(tag, hist.xi_mid)
     rows = zip(hist.xi_mid, hist.ratio, ref, cmp_.residual, cmp_.sigma, cmp_.zscore)
     data = {
         "xi_mid": hist.xi_mid.tolist(),

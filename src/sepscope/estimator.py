@@ -6,14 +6,15 @@ Every estimator here follows one discipline:
   points addressed by ``(replicate, batch_index)``;
 * each batch reduces to *integer* tallies (counts of positive, separable,
   per-bin, per-grid-point events);
-* tallies merge in sorted key order.
+* tallies merge in plan order, which is key order.
 
 One driver (``_estimate``) plans, runs and merges the batches of all four
 estimators.  Every batch starts with one survivor-first stage
-(``_positive_rows``): stream -> correlations ``z = 2u - 1`` -> positivity
-mask, keeping only the cube points whose ``z`` is a positive correlation
-matrix.  Positivity never depends on the diagonal, so the state estimators
-then run the expensive cube-to-state map on those survivors alone
+(``_positive_rows``), the one place that splits a cube point: stream ->
+correlations ``z = 2u - 1`` of the last six coordinates -> positivity mask,
+keeping the stick coordinates and ``z`` of the points whose ``z`` is a
+positive correlation matrix.  Positivity never depends on the diagonal, so
+the state estimators map only those survivors' sticks to their diagonal
 (``_states``), about 18% of the stream, before the separability test and
 the tally; the minor estimator takes the survivors' ``z`` and skips the map.
 The map is row-wise, so masking first changes no tally.
@@ -48,7 +49,6 @@ from .qstate import (
     z_psd_mask,
 )
 from .sampling import SequenceSpec, cube_to_bloore_batch, next_points
-from .sepfun import eval_desf_array
 
 __all__ = [
     "EstimateResult",
@@ -116,28 +116,18 @@ def _batch_plan(n: int):
 def _run_batches(tasks, kernel, workers: int):
     """Run ``kernel(spec, offset, size)`` for every task and merge tallies.
 
-    ``tasks`` is a list of ``(key, spec, offset, size)``; the merge walks
-    keys in sorted order and sums the tally tuples elementwise into a dict
-    keyed by the first element of ``key`` (the replicate id).
+    ``tasks`` is a list of ``(key, spec, offset, size)`` in plan order; the
+    merge walks them in that order and sums the tally tuples elementwise
+    into a dict keyed by the first element of ``key`` (the replicate id).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            key: pool.submit(kernel, spec, off, size)
-            for key, spec, off, size in tasks
-        }
-        results = {key: fut.result() for key, fut in futures.items()}
+        tallies = list(pool.map(lambda task: kernel(*task[1:]), tasks))
     merged = {}
-    for key in sorted(results):
-        rep = key[0]
-        tally = results[key]
-        if rep not in merged:
-            merged[rep] = list(tally)
-        else:
-            acc = merged[rep]
-            for i, part in enumerate(tally):
-                acc[i] = acc[i] + part
+    for (key, *_), tally in zip(tasks, tallies):
+        acc = merged.get(key[0])
+        merged[key[0]] = list(tally) if acc is None else [a + t for a, t in zip(acc, tally)]
     return merged
 
 
@@ -203,18 +193,19 @@ def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
 
 
 def _positive_rows(spec, offset, size):
-    """Stream one batch; return the points whose correlations -- the last six
-    coordinates, mapped by ``z = 2u - 1`` -- form a positive state, and their z."""
+    """Stream one batch and split it: the stick coordinates, and ``z = 2u - 1``
+    of the last six coordinates, of the points whose z is positive."""
     pts = next_points(spec, size, offset)
     z = 2.0 * pts[:, -6:] - 1.0
     keep = z_psd_mask(z)
-    return pts[keep], z[keep]
+    return pts[keep, :-6], z[keep]
 
 
 def _states(spec, offset, size):
-    """Stream and mask one batch, then map only its survivors: the
+    """Stream and mask one batch, then map only its survivors' sticks: the
     ``(diag, z)`` of its positive states."""
-    return cube_to_bloore_batch(_positive_rows(spec, offset, size)[0])
+    sticks, z = _positive_rows(spec, offset, size)
+    return cube_to_bloore_batch(sticks), z
 
 
 def _pt_separable(diag, z):
@@ -315,8 +306,8 @@ class DesfHistogram:
 
     def bin_index(self, x: float) -> int:
         """Index of the half-open bin [lo, hi) containing ``x``."""
-        i = int(np.searchsorted(self.bin_edges, x, side="right")) - 1
-        if not 0 <= i < len(self.n_psd):
+        i = int(_bin_of(self.bin_edges, x))
+        if i < 0:
             raise ValueError(f"{x} lies outside the binned range")
         return i
 
@@ -325,23 +316,27 @@ class DesfHistogram:
         (scalar or array; the result has its shape) the ratio of the
         half-open bin [lo, hi) holding it, 0 for an empty bin and 0 outside
         the binned range."""
-        x = np.asarray(xi, dtype=float)
-        idx = np.searchsorted(self.bin_edges, x, side="right") - 1
-        inside = (idx >= 0) & (x < self.bin_edges[-1])
+        idx = _bin_of(self.bin_edges, xi)
         values = np.nan_to_num(self.ratio, nan=0.0)
-        return np.where(inside, values[np.where(inside, idx, 0)], 0.0)
+        return np.where(idx >= 0, values[idx], 0.0)
+
+
+def _bin_of(edges: np.ndarray, x) -> np.ndarray:
+    """Index of the half-open bin [edges[k], edges[k+1]) holding each ``x``
+    (the result has its shape): -1 outside [edges[0], edges[-1]) and for NaN."""
+    idx = np.searchsorted(edges, x, side="right") - 1
+    return np.where(idx < len(edges) - 1, idx, -1)
 
 
 def _make_desf_kernel(edges: np.ndarray):
     nbins = len(edges) - 1
-    lo, hi = edges[0], edges[-1]
 
     def kernel(spec, offset, size):
         xi, sep = _pt_separable(*_states(spec, offset, size))
-        inside = (xi >= lo) & (xi < hi)
-        idx = np.searchsorted(edges, xi[inside], side="right") - 1
-        h_psd = np.bincount(idx, minlength=nbins).astype(np.int64)
-        h_sep = np.bincount(idx[sep[inside]], minlength=nbins).astype(np.int64)
+        idx = _bin_of(edges, xi)
+        inside = idx >= 0
+        h_psd = np.bincount(idx[inside], minlength=nbins).astype(np.int64)
+        h_sep = np.bincount(idx[inside & sep], minlength=nbins).astype(np.int64)
         out_psd = int((~inside).sum())
         out_sep = int(sep[~inside].sum())
         return (h_psd, h_sep, out_psd, out_sep)
@@ -495,14 +490,14 @@ class CurveComparison:
 
 
 def compare_curves(
-    hist: DesfHistogram, tag: str, *, min_count: int = 10
+    hist: DesfHistogram, ref, *, min_count: int = 10
 ) -> CurveComparison:
-    """Compare a DESF histogram with the curve ``tag`` evaluated at bin
-    midpoints."""
+    """Compare a DESF histogram with a reference curve: ``ref`` holds the
+    curve's values at ``hist.xi_mid``."""
     if min_count < 1:  # an empty bin has no ratio to compare
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     mid = hist.xi_mid
-    ref = eval_desf_array(tag, mid)
+    ref = np.asarray(ref, dtype=float)
     used = hist.n_psd >= min_count
     residual = np.where(used, hist.ratio - ref, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):

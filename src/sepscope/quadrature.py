@@ -110,8 +110,9 @@ def _panel(f, a: float, b: float):
     return value, err, 15
 
 
-def _adaptive(f, points, tol: float, max_evals: int) -> QuadratureResult:
-    """Greedy bisection over initial segments given by ``points``."""
+def _adaptive(f, points, tol: float) -> QuadratureResult:
+    """Greedy bisection over initial segments given by ``points``, within
+    ``_MAX_EVALS`` integrand evaluations."""
     check_tol(tol)
     heap = []
     seq = 0
@@ -124,11 +125,11 @@ def _adaptive(f, points, tol: float, max_evals: int) -> QuadratureResult:
         evals += n
         total_err += e
     while total_err > tol:
-        if evals + 30 > max_evals:
+        if evals + 30 > _MAX_EVALS:
             value = math.fsum(item[4] for item in sorted(heap, key=lambda t: t[2]))
             best = QuadratureResult(value, total_err, evals)
             raise QuadratureError(
-                f"tolerance {tol:g} not reached within {max_evals} evaluations "
+                f"tolerance {tol:g} not reached within {_MAX_EVALS} evaluations "
                 f"(current error estimate {total_err:g})",
                 result=best,
             )
@@ -157,7 +158,6 @@ def integrate_real_line(
     tol: float = 1e-10,
     *,
     breakpoints=(),
-    max_evals: int = _MAX_EVALS,
 ) -> QuadratureResult:
     """Integrate a vectorized integrand over the real line.
 
@@ -170,7 +170,7 @@ def integrate_real_line(
     """
     interior = {-1.0, 0.0, 1.0}
     interior.update(float(p) for p in breakpoints)
-    return _adaptive(f, _segment_points(-_HALF_RANGE, _HALF_RANGE, interior), tol, max_evals)
+    return _adaptive(f, _segment_points(-_HALF_RANGE, _HALF_RANGE, interior), tol)
 
 
 def separability_probability(tag: str, tol: float = 1e-10) -> QuadratureResult:
@@ -187,12 +187,8 @@ def separability_probability(tag: str, tol: float = 1e-10) -> QuadratureResult:
         return eval_desf_array(tag, x) * jacobian_xi(x)
 
     if tag in EVEN_TAGS:
-        return _adaptive(
-            lambda x: 2.0 * integrand(x),
-            _segment_points(0.0, _HALF_RANGE, {1.0, 5.0}),
-            tol,
-            _MAX_EVALS,
-        )
+        return _adaptive(lambda x: 2.0 * integrand(x),
+                         _segment_points(0.0, _HALF_RANGE, {1.0, 5.0}), tol)
     return integrate_real_line(integrand, tol)
 
 

@@ -16,17 +16,17 @@ of one infinite matrix, so any partition of the index range reassembles to
 identical samples.
 
 A 9-dimensional point maps to a random density matrix under the
-Hilbert-Schmidt measure in two independent blocks: coordinates 0-2 build the
-diagonal by stick-breaking through Beta quantile functions (the diagonal of a
-HS-random matrix is Dirichlet(5/2, 5/2, 5/2, 5/2)), and coordinates 3-8 map
-affinely onto the off-diagonal correlations ``z in [-1, 1]^6``.  Positivity
-is *not* imposed here; estimators count the fraction of the cube that lands
-inside the positive-semidefinite body.  Since positivity depends on ``z``
-alone, the estimators mask a batch on ``z = 2u - 1`` first and pass only
-the surviving points (about 18%) through :func:`cube_to_bloore_batch`.
+Hilbert-Schmidt measure in two independent blocks: coordinates 0-2, the
+sticks, build the diagonal by stick-breaking through Beta quantile functions
+(the diagonal of a HS-random matrix is Dirichlet(5/2, 5/2, 5/2, 5/2)), and
+coordinates 3-8 map affinely onto the correlations ``z = 2u - 1``.
+Positivity is *not* imposed here; estimators count the fraction of the cube
+that lands inside the positive-semidefinite body.  The estimators' batch
+stage alone splits a point: it masks on ``z`` (positivity depends on it
+alone) and passes only the survivors' sticks (about 18% of the stream) to
+:func:`cube_to_bloore_batch`, which returns their diagonal and nothing else.
 That map is the only user of ``scipy.special`` (``betaincinv``) and imports
-it on its first call, so the quadrature commands, which never map a point,
-load no scipy module.
+it on its first call, so the quadrature commands load no scipy module.
 """
 
 from __future__ import annotations
@@ -126,19 +126,19 @@ def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
     return pts
 
 
-def cube_to_bloore_batch(points: np.ndarray):
-    """Map ``(n, 9)`` cube points to ``(diag (n, 4), z (n, 6))`` arrays.
+def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:
+    """Map ``(n, 3)`` stick coordinates to the ``(n, 4)`` diagonal, inverting
+    the stick-breaking representation of Dirichlet(5/2, 5/2, 5/2, 5/2).
 
-    The diagonal block inverts the stick-breaking representation of
-    Dirichlet(5/2, 5/2, 5/2, 5/2); the correlation block is the uniform cube
-    ``[-1, 1]^6``.
+    The benchmark (``perfbench/child.py``) wraps this function by its name,
+    called once per batch through the ``estimator`` namespace.
     """
     from scipy.special import betaincinv  # ~0.3 s to import; only the map needs it
 
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 9:
-        raise ValueError(f"expected an (n, 9) array, got shape {pts.shape}")
-    u = np.clip(pts[:, :3], _U_CLIP, 1.0 - _U_CLIP)
+    pts = np.asarray(sticks, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
+    u = np.clip(pts, _U_CLIP, 1.0 - _U_CLIP)
     b = np.empty_like(u)
     for j, (a_p, b_p) in enumerate(_STICK_PARAMS):
         b[:, j] = betaincinv(a_p, b_p, u[:, j])
@@ -149,8 +149,7 @@ def cube_to_bloore_batch(points: np.ndarray):
     rest = rest * (1.0 - b[:, 1])
     diag[:, 2] = rest * b[:, 2]
     diag[:, 3] = rest * (1.0 - b[:, 2])
-    z = 2.0 * pts[:, 3:] - 1.0
-    return diag, z
+    return diag
 
 
 def star_discrepancy(points: np.ndarray) -> float:

@@ -318,7 +318,7 @@ def _star_discrepancy(workers, seed, n):
 
 
 def _diagonal_moments(workers, seed, n, z_max):
-    diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(_prng(seed), n))
+    diag = sampling.cube_to_bloore_batch(sampling.next_points(_prng(seed), n)[:, :3])
     x = diag[:, 0]
     zm = (x.mean() - 0.25) / (x.std(ddof=1) / math.sqrt(n))
     x2 = x * x
@@ -348,7 +348,7 @@ def _xi_counts(workers, seed, n, edges):
     of the batches add."""
 
     def kernel(spec, offset, size):
-        diag, _ = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, offset))
+        diag = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, offset)[:, :3])
         return (np.histogram(xi_from_diag(diag), bins=edges)[0],)
 
     [(counts,)], _ = estimator._estimate(_prng(seed), n, 9, kernel, workers)

@@ -15,6 +15,7 @@ import pytest
 
 import sepscope.cli as cli
 import sepscope.estimator as estimator
+import sepscope.sepfun as sepfun
 import sepscope.verify as verify
 from sepscope.cli import _load_desf, main
 from sepscope.errors import QuadratureError
@@ -436,11 +437,13 @@ def test_residual_reads_json_histogram(tmp_path):
     ("short_edges", "11 bin edges for 11 n_psd and 11 n_sep counts"),
     ("missing_field", "lacks the histogram fields n_total"),
     ("not_desf", "'curves' artifact, not a desf histogram"),
+    ("small_total", "n_total is below the positives"),
 ])
 def test_residual_rejects_bad_json_histogram(tmp_path, capsys, case, message):
     """A JSON histogram gets the CSV reader's checks: a count changed under
     a stale digest, and (resealed, so the digest matches) a missing bin
-    edge, a missing field or another subcommand's manifest, each exit 3."""
+    edge, a missing field, another subcommand's manifest or an ``n_total``
+    below the positives counted, each exit 3."""
     _, json_path = _desf_pair(tmp_path)
     payload = json.loads(json_path.read_text())
     data = payload["data"]
@@ -451,6 +454,8 @@ def test_residual_rejects_bad_json_histogram(tmp_path, capsys, case, message):
             data["bin_edges"].pop()
         elif case == "missing_field":
             del data["n_total"]
+        elif case == "small_total":
+            data["n_total"] = 5
         else:
             payload["manifest"]["subcommand"] = "curves"
         payload["manifest"]["output_sha256"] = hashlib.sha256(
@@ -515,6 +520,58 @@ def test_residual_rejects_ill_typed_csv_histogram(tmp_path, capsys, column, valu
     capsys.readouterr()
     assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture"]) == 3
     assert f"{column} must hold non-negative integer counts" in capsys.readouterr().err
+
+
+def test_residual_names_a_malformed_outside_entry(tmp_path, capsys):
+    """An entry of the ``# outside:`` line without ``=`` is reported by the
+    line and the entry, not as a Python unpacking error."""
+    csv_path, _ = _desf_pair(tmp_path)
+    text = csv_path.read_text()
+    lines = text.split("\n")
+    assert lines[2].startswith("# outside: ") and " n_total=20000" in lines[2]
+    lines[2] = lines[2].replace(" n_total=", " n_total")
+    csv_path.write_text(_resealed(text, "\n".join(lines[2:])))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture"]) == 3
+    err = capsys.readouterr().err
+    assert "cannot read 'n_total20000' on the '# outside:' line" in err
+
+
+def test_residual_rejects_a_bin_hi_off_the_next_bin_lo(tmp_path, capsys):
+    """``desf`` prints ``bin_lo`` and ``bin_hi`` from one edge array, so each
+    row's ``bin_hi`` is the next row's ``bin_lo``; a file where one is not
+    exits 3 naming ``bin_hi``."""
+    csv_path, _ = _desf_pair(tmp_path)
+    text = csv_path.read_text()
+    lines = text.split("\n")
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("bin_lo,"))
+    cells = lines[header + 3].split(",")
+    cells[1] = "9.5"
+    lines[header + 3] = ",".join(cells)
+    csv_path.write_text(_resealed(text, "\n".join(lines[2:])))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture"]) == 3
+    assert "a row's bin_hi is not the next row's bin_lo" in capsys.readouterr().err
+
+
+def test_residual_evaluates_the_curve_once(tmp_path, monkeypatch):
+    """Residual mode evaluates its curve at the bin midpoints once, and the
+    same values feed the comparison and the ``ref`` column."""
+    csv_path, _ = _desf_pair(tmp_path)
+    calls = []
+
+    def counted(branch):
+        def call(x):
+            calls.append(len(x))
+            return branch(x)
+        return call
+
+    pos, neg, at_zero = sepfun._CURVES["conjecture"]
+    monkeypatch.setitem(sepfun._CURVES, "conjecture", (counted(pos), counted(neg), at_zero))
+    out = tmp_path / "res.csv"
+    assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture",
+                 "--out", str(out)]) == 0
+    assert calls == [5, 5]  # one positive and one negative branch call
 
 
 def test_residual_refuses_a_bounds_artifact(tmp_path, capsys):

@@ -18,7 +18,7 @@ from sepscope.estimator import (
 )
 from sepscope.qstate import assemble_states, corr_minor, pt_correlations, z_psd_mask
 from sepscope.quadrature import integrate_real_line
-from sepscope.sampling import SequenceSpec
+from sepscope.sampling import SequenceSpec, next_points
 from sepscope.sepfun import eval_desf_array, jacobian_xi
 from sepscope.verify import _MINORS
 
@@ -133,6 +133,26 @@ def test_all_separable_when_constraint_is_disabled(monkeypatch):
     res = estimate_sep_probability(_prng(64), 30_000)
     assert res.mean == 1.0
     assert res.n_effective > 0
+
+
+def test_positive_rows_split_each_point(monkeypatch):
+    """The batch stage is the one place that splits a cube point: z = 2u - 1
+    of the last six coordinates, the stick coordinates before them, and
+    only the rows whose z is positive survive."""
+    pts = np.vstack([np.full((1, 9), 0.5), next_points(_prng(5), 10_000)])
+    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts)
+    sticks, z = estimator._positive_rows(_prng(5), 0, len(pts))
+    assert np.array_equal(z[0], np.zeros(6))  # u = 0.5 maps to the center
+    assert np.array_equal(sticks[0], np.full(3, 0.5))
+    assert np.all((z >= -1.0) & (z <= 1.0))
+    keep = z_psd_mask(2.0 * pts[:, 3:] - 1.0)
+    assert 0 < keep.sum() < len(pts)
+    assert np.array_equal(sticks, pts[keep, :3])
+    assert np.array_equal(z, 2.0 * pts[keep, 3:] - 1.0)
+    # a 6-d point is all correlations: no sticks to carry
+    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts[:, 3:])
+    sticks6, z6 = estimator._positive_rows(_prng(5, dimension=6), 0, len(pts))
+    assert sticks6.shape == (len(z), 0) and np.array_equal(z6, z)
 
 
 def test_only_positive_points_are_mapped(monkeypatch):
@@ -261,10 +281,9 @@ def test_histogram_mechanics():
     assert hist.bin_index(0.0) == 0  # bins are [lo, hi)
     assert hist.bin_index(1.0) == 1
     assert hist.bin_index(2.999) == 2
-    with pytest.raises(ValueError):
-        hist.bin_index(3.0)
-    with pytest.raises(ValueError):
-        hist.bin_index(-0.1)
+    for outside in (3.0, -0.1, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            hist.bin_index(outside)
 
 
 def test_ratio_at_half_open_bins():
@@ -278,8 +297,9 @@ def test_ratio_at_half_open_bins():
         n_sep_outside=0,
         n_total=100,
     )
-    xs = np.array([-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.999, 2.0, 2.5, 3.0, 3.5, np.nan])
-    expect = np.array([0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0])
+    xs = np.array([-0.1, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.999, 2.0, 2.5, 3.0, 3.5, np.nan,
+                   np.inf, -np.inf])
+    expect = np.array([0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(hist.ratio_at(xs), expect)
     assert hist.ratio_at(1.0) == 0.6  # bins are [lo, hi)
     assert np.shape(hist.ratio_at(1.0)) == ()
@@ -489,8 +509,8 @@ def test_box_minor_is_certain_on_its_easy_side():
 
 def test_compare_curves_separates_right_from_wrong():
     hist = estimate_desf(_prng(73), 200_000, bins=61, ximax=6.0)
-    good = compare_curves(hist, "conjecture", min_count=20)
-    wrong = compare_curves(hist, "int", min_count=20)
+    good = compare_curves(hist, eval_desf_array("conjecture", hist.xi_mid), min_count=20)
+    wrong = compare_curves(hist, eval_desf_array("int", hist.xi_mid), min_count=20)
     assert good.max_abs_z < 4.0
     assert wrong.max_abs_z > 10.0
 
@@ -505,7 +525,7 @@ def test_compare_curves_flat_reference_bins():
         n_total=1000,
     )
     # two_left is exactly 1 for xi >= 0, a reference of zero binomial width
-    cmp_ = compare_curves(hist, "two_left")
+    cmp_ = compare_curves(hist, eval_desf_array("two_left", hist.xi_mid))
     assert cmp_.zscore[0] == 0.0  # residual zero on a flat bin
     assert np.isinf(cmp_.zscore[1])  # any miss on a flat bin is infinite
 

@@ -88,17 +88,32 @@ def test_only_sobol_and_verify_load_scipy_stats(loaded):
             assert heavy == [], step
 
 
-def test_qstate_loads_no_scipy():
-    """The state algebra, partial transpose included, is numpy alone: a
-    fresh ``import sepscope.qstate`` loads no scipy module and no other
-    sepscope submodule."""
+def _fresh_import(module):
+    """The scipy and sepscope modules a fresh ``import module`` loads."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import json, sys, sepscope.qstate; "
+         f"import json, sys, {module}; "
          "print(json.dumps(sorted(m for m in sys.modules "
          "if m.split('.')[0] in ('scipy', 'sepscope'))))"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["sepscope", "sepscope.qstate"]
+    return json.loads(proc.stdout)
+
+
+def test_qstate_loads_no_scipy():
+    """The state algebra, partial transpose included, is numpy alone: a
+    fresh ``import sepscope.qstate`` loads no scipy module and no other
+    sepscope submodule."""
+    assert _fresh_import("sepscope.qstate") == ["sepscope", "sepscope.qstate"]
+
+
+def test_estimator_loads_no_curves_and_no_scipy():
+    """The estimators sample, test and count; curves are evaluated by their
+    callers.  A fresh ``import sepscope.estimator`` loads no scipy module
+    and no ``sepscope.sepfun``."""
+    assert _fresh_import("sepscope.estimator") == [
+        "sepscope", "sepscope.errors", "sepscope.estimator", "sepscope.qstate",
+        "sepscope.sampling",
+    ]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sepscope.quadrature as quadrature
 from sepscope.errors import QuadratureError
 from sepscope.estimator import DesfHistogram
 from sepscope.quadrature import (
@@ -106,9 +107,10 @@ def test_breakpoints_help_on_kinked_integrands():
     assert with_bp.evals < without.evals
 
 
-def test_eval_budget_failure_carries_best_result():
+def test_eval_budget_failure_carries_best_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 300)
     with pytest.raises(QuadratureError) as exc:
-        integrate_real_line(jacobian_xi, 1e-13, max_evals=300)
+        integrate_real_line(jacobian_xi, 1e-13)
     best = exc.value.result
     assert isinstance(best, QuadratureResult)
     assert best.evals <= 300

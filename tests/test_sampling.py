@@ -133,33 +133,31 @@ def test_scramble_seed_changes_low_discrepancy_stream():
 
 
 def test_cube_map_produces_valid_coordinates():
-    pts = next_points(SequenceSpec("pseudo_random", 5), 10_000)
-    diag, z = cube_to_bloore_batch(pts)
-    assert diag.shape == (10_000, 4) and z.shape == (10_000, 6)
+    pts = next_points(SequenceSpec("pseudo_random", 5, dimension=3), 10_000)
+    diag = cube_to_bloore_batch(pts)
+    assert diag.shape == (10_000, 4)
     assert np.max(np.abs(diag.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(diag > 0.0)
-    assert np.all((z >= -1.0) & (z <= 1.0))
 
 
 def test_cube_map_shape_validation():
-    with pytest.raises(ValueError):
-        cube_to_bloore_batch(np.zeros((5, 8)))
-    with pytest.raises(ValueError):
-        cube_to_bloore_batch(np.zeros(9))
+    """The map takes (n, 3) stick coordinates and nothing else."""
+    for shape in ((5, 9), (5, 2), (3,)):
+        with pytest.raises(ValueError):
+            cube_to_bloore_batch(np.zeros(shape))
 
 
 def test_cube_corners_stay_nondegenerate():
     # quantile arguments are clipped, so even exact cube corners give a
     # strictly positive diagonal (xi stays finite)
-    for corner in (np.zeros((1, 9)), np.ones((1, 9)) - 1e-17):
-        diag, _ = cube_to_bloore_batch(corner)
+    for corner in (np.zeros((1, 3)), np.ones((1, 3)) - 1e-17):
+        diag = cube_to_bloore_batch(corner)
         assert np.all(diag > 0.0)
         assert np.isfinite(np.log(diag).sum())
 
 
 def test_cube_to_bloore_single_point():
-    diag, z = cube_to_bloore_batch(np.full((1, 9), 0.5))
-    assert np.array_equal(z[0], np.zeros(6))  # 0.5 maps to the center
+    diag = cube_to_bloore_batch(np.full((1, 3), 0.5))
     assert np.all(diag[0] > 0.0)
     assert abs(diag[0].sum() - 1.0) < 1e-12
 
@@ -168,7 +166,7 @@ def test_diagonal_marginal_moments():
     """Each diagonal entry is Beta(5/2, 15/2): mean 1/4, second moment 7/88.
     Frozen seed; comparisons at four standard errors."""
     pts = next_points(SequenceSpec("pseudo_random", 314), 1_000_000)
-    diag, _ = cube_to_bloore_batch(pts)
+    diag = cube_to_bloore_batch(pts[:, :3])
     n = len(diag)
     for col in range(4):
         x = diag[:, col]

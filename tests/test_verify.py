@@ -43,7 +43,8 @@ def test_psd_sample_matches_map_then_mask(monkeypatch):
     one a single map-then-mask call over the whole stream gives."""
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     n = 3500
-    diag, z = cube_to_bloore_batch(next_points(verify._prng(9108), n))
+    pts = next_points(verify._prng(9108), n)
+    diag, z = cube_to_bloore_batch(pts[:, :3]), 2.0 * pts[:, 3:] - 1.0
     keep = z_psd_mask(z)
     got_diag, got_z = verify._psd_sample(9108, n)
     assert len(got_z) > 0
@@ -55,7 +56,7 @@ def test_xi_counts_add_over_batches(monkeypatch):
     """Drawn and mapped one batch at a time, on one worker or two, the xi
     histogram has the counts of one map over the whole stream."""
     edges = np.linspace(-6.0, 6.0, 61)
-    diag, _ = cube_to_bloore_batch(next_points(verify._prng(303), 3500))
+    diag = cube_to_bloore_batch(next_points(verify._prng(303), 3500)[:, :3])
     whole = np.histogram(xi_from_diag(diag), bins=edges)[0]
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     assert len(estimator._batch_plan(3500)) == 4
