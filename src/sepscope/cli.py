@@ -26,10 +26,12 @@ unreadable or unwritable path included), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -79,6 +81,18 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _json_data(obj):
+    """``obj`` with each non-finite float as ``None``, which JSON writes as
+    ``null``: ``NaN`` and ``Infinity`` are not JSON."""
+    if isinstance(obj, dict):
+        return {k: _json_data(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_data(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -93,9 +107,11 @@ def _emit(args, subcommand, params, sequence, header, rows, data, preamble=()) -
     """Write one artifact in ``args.format``: the CSV ``# preamble`` lines,
     ``header`` and ``rows``, or the JSON object ``data``, under a manifest
     whose ``output_sha256`` is the digest of that data section.
-    :func:`_read_artifact` is its inverse."""
+    :func:`_read_artifact` is its inverse.  JSON writes a non-finite float
+    as ``null``; the CSV keeps ``nan`` and ``inf``."""
     as_json = args.format == "json"
     if as_json:
+        data = _json_data(data)
         body = _canonical(data)
     else:
         buf = io.StringIO()
@@ -121,7 +137,8 @@ def _emit(args, subcommand, params, sequence, header, rows, data, preamble=()) -
             f"# sepscope {__version__} {subcommand}\n"
             f"# manifest: {_canonical(manifest)}\n" + body
         )
-    _write_out(args.out, text)
+    with _open_out(args.out) as fh:
+        fh.write(text)
     return _EXIT_OK
 
 
@@ -151,12 +168,11 @@ def _read_artifact(path: str):
     return manifest, data
 
 
-def _write_out(out, text: str):
+def _open_out(out):
+    """The stream ``--out`` names, opened now: stdout for None or ``-``."""
     if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 def _sequence_spec(args) -> SequenceSpec:
@@ -497,16 +513,18 @@ def _cmd_verify(args) -> int:
         print(result.line, flush=True)
         print(f"{result.name}: {result.seconds:.2f} s", file=sys.stderr)
 
-    results = run_checks(args.level, workers=workers, report=report)
-    dt = time.perf_counter() - t0
-    failed = [r for r in results if not r.passed]
-    print(
-        f"{len(results) - len(failed)}/{len(results)} checks passed "
-        f"({dt:.1f} s, level={args.level})",
-        file=sys.stderr,
-    )
-    if args.out:
-        _write_out(args.out, "\n".join(r.line for r in results) + "\n")
+    # opened before the first check, so a bad path fails at once
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as out:
+        results = run_checks(args.level, workers=workers, report=report)
+        dt = time.perf_counter() - t0
+        failed = [r for r in results if not r.passed]
+        print(
+            f"{len(results) - len(failed)}/{len(results)} checks passed "
+            f"({dt:.1f} s, level={args.level})",
+            file=sys.stderr,
+        )
+        if out is not None:
+            out.write("\n".join(r.line for r in results) + "\n")
     return _EXIT_VERIFY if failed else _EXIT_OK
 
 

@@ -2,27 +2,32 @@
 
 Every estimator here follows one discipline:
 
-* the sample stream is partitioned into fixed-size batches of ``2**20``
-  points addressed by ``(replicate, batch_index)``;
+* each replicate's sample stream is partitioned into fixed-size batches of
+  ``2**20`` points, fixed by ``n`` alone;
 * each batch reduces to *integer* tallies (counts of positive, separable,
   per-bin, per-grid-point events);
-* tallies merge in plan order, which is key order.
+* tallies merge in plan order.
 
-One driver (``_estimate``) plans, runs and merges the batches of all four
-estimators.  Every batch starts with one survivor-first stage
-(``_positive_rows``), the one place that splits a cube point: stream ->
-correlations ``z = 2u - 1`` of the last six coordinates -> positivity mask,
-keeping the stick coordinates and ``z`` of the points whose ``z`` is a
-positive correlation matrix.  Positivity never depends on the diagonal, so
-the state estimators map only those survivors' sticks to their diagonal
-(``_states``), about 18% of the stream, before the separability test and
-the tally; the minor estimator takes the survivors' ``z`` and skips the map.
-The map is row-wise, so masking first changes no tally.
+One driver (``_estimate``) plans and merges the batches of all four
+estimators.  ``_run_batches`` runs them: it maps a kernel over ``(spec,
+offset, size)`` tasks and returns the tallies in task order, and
+``_estimate`` sums each replicate's tallies in that order.  ``verify`` draws
+its sample of states through ``_run_batches`` too.  Every batch starts with
+one survivor-first stage (``_positive_rows``), the one place that splits a
+cube point: stream -> correlations ``z = 2u - 1`` of the last six
+coordinates -> positivity mask, keeping the stick coordinates and ``z`` of
+the points whose ``z`` is a positive correlation matrix.  Positivity never
+depends on the diagonal, so the state estimators map only those survivors'
+sticks to their diagonal (``_states``), about 18% of the stream, before the
+separability test and the tally; the minor estimator takes the survivors'
+``z`` and skips the map.  The map is row-wise, so masking first changes no
+tally.
 
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
 depend on execution order, results are byte-identical no matter how many
 worker threads execute the batches.  Statistics (means, standard errors)
-are formed only after the merge.
+are formed only after the merge: every sampled number is a ratio of
+positives, whose binomial error ``_binomial_se`` states once.
 
 Probabilities are conditional on positivity: points of the parameter cube
 that land outside the positive-semidefinite body are generated but excluded
@@ -72,63 +77,59 @@ class EstimateResult:
 
     ``n_effective`` counts the samples that satisfied the conditioning
     event (the denominator); ``n_total`` counts raw stream points.
-    ``ci95`` is the two-standard-error interval.  ``replicate_means`` is
-    populated only when the estimate pooled independent replicates.
+    ``replicate_means`` is populated only when the estimate pooled
+    independent replicates.  ``ci95``, the two-standard-error interval, is
+    derived from ``mean`` and ``stderr``.
     """
 
     mean: float
     stderr: float
     n_effective: int
     n_total: int
-    ci95: tuple
     replicate_means: tuple = None
 
-    @classmethod
-    def from_counts(cls, hits: int, n_eff: int, n_total: int) -> "EstimateResult":
-        if n_eff <= 0:
-            raise InsufficientSamplesError(
-                "no samples satisfied the conditioning event; increase n"
-            )
-        p = hits / n_eff
-        se = math.sqrt(p * (1.0 - p) / n_eff)
-        return cls(
-            mean=p,
-            stderr=se,
-            n_effective=n_eff,
-            n_total=n_total,
-            ci95=(p - 2.0 * se, p + 2.0 * se),
+    @property
+    def ci95(self) -> tuple:
+        return (self.mean - 2.0 * self.stderr, self.mean + 2.0 * self.stderr)
+
+
+def _binomial_se(p, n):
+    """Binomial standard error of a ratio ``p`` of ``n`` trials (scalars or
+    arrays; a scalar gives a float): NaN where ``p`` is NaN or ``n`` is 0."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        se = np.where(np.asarray(n) > 0, np.sqrt(p * (1.0 - p) / n), np.nan)
+    return se if se.ndim else float(se)
+
+
+def _estimate_result(per_rep, n_total: int) -> EstimateResult:
+    """The estimate from each replicate's ``(positives, events)`` tally: one
+    replicate's ratio with its binomial error, or the mean of several
+    replicates' ratios with the standard error of their spread."""
+    if any(eff <= 0 for eff, _ in per_rep):
+        raise InsufficientSamplesError(
+            "no samples of a replicate satisfied the conditioning event; increase n"
         )
+    n_eff = sum(eff for eff, _ in per_rep)
+    means = [hits / eff for eff, hits in per_rep]
+    if len(means) == 1:
+        return EstimateResult(means[0], _binomial_se(means[0], n_eff), n_eff, n_total)
+    spread = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    return EstimateResult(float(np.mean(means)), spread, n_eff, n_total, tuple(means))
 
 
 def _batch_plan(n: int):
-    """Fixed partition of ``range(n)`` into (index, offset, size) batches."""
-    plan = []
-    idx = 0
-    off = 0
-    while off < n:
-        size = min(BATCH_SIZE, n - off)
-        plan.append((idx, off, size))
-        idx += 1
-        off += size
-    return plan
+    """Fixed partition of ``range(n)`` into (offset, size) batches."""
+    return [(off, min(BATCH_SIZE, n - off)) for off in range(0, n, BATCH_SIZE)]
 
 
 def _run_batches(tasks, kernel, workers: int):
-    """Run ``kernel(spec, offset, size)`` for every task and merge tallies.
-
-    ``tasks`` is a list of ``(key, spec, offset, size)`` in plan order; the
-    merge walks them in that order and sums the tally tuples elementwise
-    into a dict keyed by the first element of ``key`` (the replicate id).
-    """
+    """Run ``kernel(spec, offset, size)`` for every ``(spec, offset, size)``
+    task; returns the tallies in task order."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        tallies = list(pool.map(lambda task: kernel(*task[1:]), tasks))
-    merged = {}
-    for (key, *_), tally in zip(tasks, tallies):
-        acc = merged.get(key[0])
-        merged[key[0]] = list(tally) if acc is None else [a + t for a, t in zip(acc, tally)]
-    return merged
+        return list(pool.map(lambda task: kernel(*task), tasks))
 
 
 def _estimate(spec, n, dimension, kernel, workers, replicates=1):
@@ -150,13 +151,18 @@ def _estimate(spec, n, dimension, kernel, workers, replicates=1):
     if n_per < 1:
         raise ValueError(f"n={n} is too small for {replicates} replicates")
     specs = [spec] if replicates == 1 else [spec.spawn(r) for r in range(replicates)]
-    tasks = [
-        ((rep, idx), rep_spec, off, size)
-        for rep, rep_spec in enumerate(specs)
-        for idx, off, size in _batch_plan(n_per)
-    ]
-    merged = _run_batches(tasks, kernel, workers)
-    return [merged[rep] for rep in range(replicates)], n_per * replicates
+    plan = _batch_plan(n_per)
+    tallies = _run_batches(
+        [(rep_spec, off, size) for rep_spec in specs for off, size in plan],
+        kernel, workers,
+    )
+    per_rep = []
+    for start in range(0, len(tallies), len(plan)):
+        merged, *rest = tallies[start:start + len(plan)]
+        for tally in rest:
+            merged = [a + t for a, t in zip(merged, tally)]
+        per_rep.append(merged)
+    return per_rep, n_per * replicates
 
 
 def _default_replicates(spec: SequenceSpec) -> int:
@@ -166,30 +172,6 @@ def _default_replicates(spec: SequenceSpec) -> int:
     if spec.engine == "low_discrepancy" and spec.scramble:
         return 8
     return 1
-
-
-def _pool_replicates(per_rep, n_total: int) -> EstimateResult:
-    """Combine per-replicate (n_eff, hits) tallies into one estimate."""
-    means = []
-    n_eff = 0
-    for eff, hits in per_rep:
-        if eff <= 0:
-            raise InsufficientSamplesError(
-                "a replicate produced no conditioning samples; increase n"
-            )
-        means.append(hits / eff)
-        n_eff += eff
-    means = np.asarray(means)
-    mean = float(means.mean())
-    se = float(means.std(ddof=1) / math.sqrt(len(means)))
-    return EstimateResult(
-        mean=mean,
-        stderr=se,
-        n_effective=n_eff,
-        n_total=n_total,
-        ci95=(mean - 2.0 * se, mean + 2.0 * se),
-        replicate_means=tuple(float(m) for m in means),
-    )
 
 
 def _positive_rows(spec, offset, size):
@@ -230,11 +212,7 @@ def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
             "an unscrambled low-discrepancy stream has one replicate; "
             f"{replicates} would all read the same points"
         )
-    per_rep, n_total = _estimate(spec, n, 9, kernel, workers, replicates)
-    if replicates == 1:
-        n_eff, hits = per_rep[0]
-        return EstimateResult.from_counts(hits, n_eff, n_total)
-    return _pool_replicates(per_rep, n_total)
+    return _estimate_result(*_estimate(spec, n, 9, kernel, workers, replicates))
 
 
 def estimate_sep_probability(
@@ -298,11 +276,7 @@ class DesfHistogram:
 
     @property
     def stderr(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = self.ratio
-            return np.where(
-                self.n_psd > 0, np.sqrt(r * (1.0 - r) / self.n_psd), np.nan
-            )
+        return _binomial_se(self.ratio, self.n_psd)
 
     def bin_index(self, x: float) -> int:
         """Index of the half-open bin [lo, hi) containing ``x``."""
@@ -412,8 +386,7 @@ class MinorGridEstimate:
 
     @property
     def stderr(self) -> np.ndarray:
-        r = self.ratio
-        return np.sqrt(r * (1.0 - r) / self.n_psd)
+        return _binomial_se(self.ratio, self.n_psd)
 
 
 def estimate_minor_desf(
@@ -500,8 +473,7 @@ def compare_curves(
     ref = np.asarray(ref, dtype=float)
     used = hist.n_psd >= min_count
     residual = np.where(used, hist.ratio - ref, np.nan)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sigma = np.where(used, np.sqrt(ref * (1.0 - ref) / hist.n_psd), np.nan)
+    sigma = np.where(used, _binomial_se(ref, hist.n_psd), np.nan)
     z = np.full(mid.shape, np.nan)
     pos = used & (sigma > 0)
     z[pos] = residual[pos] / sigma[pos]

@@ -106,11 +106,12 @@ def _lds(seed, dimension=9):
     return sampling.SequenceSpec("low_discrepancy", seed, dimension=dimension)
 
 
-def _psd_sample(seed, n):
+def _psd_sample(workers, seed, n):
     """The ``(diag, z)`` of the positive states among ``n`` stream points,
-    drawn through the estimators' survivor-first stage one batch at a time."""
+    drawn through the estimators' survivor-first stage and batch driver."""
     spec = _prng(seed)
-    parts = [estimator._states(spec, off, size) for _, off, size in estimator._batch_plan(n)]
+    tasks = [(spec, off, size) for off, size in estimator._batch_plan(n)]
+    parts = estimator._run_batches(tasks, estimator._states, workers)
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -237,7 +238,7 @@ def _curve_evenness_and_ordering(workers, bound):
 
 
 def _pt_involution(workers, seed, n, states):
-    diag, z = _psd_sample(seed, n)
+    diag, z = _psd_sample(workers, seed, n)
     rho = assemble_states(diag[:states], z[:states])
     moved = np.flatnonzero(np.any(partial_transpose(partial_transpose(rho)) != rho, axis=(1, 2)))
     if moved.size:
@@ -249,7 +250,7 @@ def _pt_minor_implications(workers, seed, n, states, tol):
     """On one sample: separable => 3x3 PT minors >= 0 => 2x2 PT minors >= 0;
     the verdict sees the diagonal only through xi; and the determinant sign
     of the scaled partial transpose agrees with its spectrum."""
-    diag, z = _psd_sample(seed, n)  # about 18% of draws are states
+    diag, z = _psd_sample(workers, seed, n)  # about 18% of draws are states
     if len(z) < states:
         return False, f"only {len(z)} states among {n} draws, need {states}"
     diag, z = diag[:states], z[:states]
@@ -343,13 +344,14 @@ def binomial_two_sided_pvalue(k: int, n: int, p: float) -> float:
 
 
 def _xi_counts(workers, seed, n, edges):
-    """Histogram of xi over ``n`` stream points, positive or not, drawn and
-    mapped one batch at a time by the estimators' batch driver; the counts
-    of the batches add."""
+    """Histogram of xi over ``n`` stream points, positive or not, in the
+    estimators' half-open bins, drawn and mapped one batch at a time by
+    their batch driver; the counts of the batches add."""
 
     def kernel(spec, offset, size):
         diag = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, offset)[:, :3])
-        return (np.histogram(xi_from_diag(diag), bins=edges)[0],)
+        idx = estimator._bin_of(edges, xi_from_diag(diag))
+        return (np.bincount(idx[idx >= 0], minlength=len(edges) - 1),)
 
     [(counts,)], _ = estimator._estimate(_prng(seed), n, 9, kernel, workers)
     return counts
@@ -513,7 +515,7 @@ def _desf_intercept_exact_xi(workers, seed, n, z_max):
         _prng(seed, dimension=6), n, (0, 1, 2, 3), (0.0,), workers=workers
     )
     ref = REFERENCES["desf_intercept"]
-    z = (est.ratio[0] - ref) / math.sqrt(ref * (1.0 - ref) / est.n_psd)
+    z = (est.ratio[0] - ref) / estimator._binomial_se(ref, est.n_psd)
     return abs(z) <= z_max, (
         f"S(0) {est.ratio[0]:.6f} vs {ref:.6f} (z = {z:+.2f}, n_psd = {est.n_psd})"
     )
@@ -528,7 +530,7 @@ def _desf_intercept(workers, seed, n, bins, z_max, observed_sigma=False):
     if observed_sigma:
         sigma = hist.stderr[i]
     else:
-        sigma = math.sqrt(ref * (1.0 - ref) / hist.n_psd[i])
+        sigma = estimator._binomial_se(ref, hist.n_psd[i])
     z = (hist.ratio[i] - ref) / sigma
     return abs(z) <= z_max, (
         f"central bin {hist.ratio[i]:.6f} vs {ref:.6f} "

@@ -41,8 +41,12 @@ def _read_csv_payload(text):
     return manifest, data, rows
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def _read_json_payload(text):
-    payload = json.loads(text)
+    payload = json.loads(text, parse_constant=_refuse_constant)
     canonical = json.dumps(
         payload["data"], sort_keys=True, separators=(",", ":")
     )
@@ -118,7 +122,7 @@ _PINNED_OUTPUTS = {
     "curves.csv": "d641496ec462ea1c31b381a3c7d0b831d0447858de1213bf7bd44fff2be20327",
     "curves.json": "816a8ac554a872360654b72aeefeca855286ac29d8a726876034e8d9015e0c00",
     "res.csv": "030b1dde3123129ab454a097afabc1901fb11630bbc21d9f7153f44dfd0b1851",
-    "res.json": "c9313440dd7e28acdde49b38c5c1f5cae7c58c1cf309b2c0bda9cb95d4ff9a33",
+    "res.json": "1955ef4f29d8de26cb033aed9c0c0c0f6d4e2c7e4fe25da23ff2c83f01b681e2",
 }
 
 
@@ -299,6 +303,26 @@ def test_desf_json_payload(tmp_path):
     assert data["n_total"] == 30_000
     total = sum(data["n_psd"]) + data["n_psd_outside"]
     assert 0 < total < 30_000
+
+
+def test_residual_json_writes_non_finite_values_as_null(tmp_path):
+    """Skipped bins (NaN) and flat-reference bins (an infinite z-score) are
+    written as null, so a strict JSON parser reads the residual table."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--seed", "1",
+                 "--out", str(hist_path)]) == 0
+    out = tmp_path / "res.json"
+    assert main(["curves", "--residual", str(hist_path), "--tags", "two_left",
+                 "--format", "json", "--out", str(out)]) == 0
+    _, data = _read_json_payload(out.read_text())
+    hist = _load_desf(str(hist_path))
+    cmp_ = cli.compare_curves(hist, eval_desf_array("two_left", hist.xi_mid))
+    assert cmp_.n_skipped > 0 and np.isinf(cmp_.zscore).any()
+    for key in ("residual", "sigma", "zscore"):
+        want = [v if math.isfinite(v) else None for v in getattr(cmp_, key).tolist()]
+        assert data[key] == want
+    assert data["max_abs_z"] is None
+    assert data["n_skipped"] == cmp_.n_skipped
 
 
 def test_residual_needs_exactly_one_tag(tmp_path):
@@ -663,10 +687,16 @@ def test_numeric_errors_exit_3(capsys):
 @pytest.mark.parametrize("argv", [
     ["curves", "--residual", "{tmp}/missing.csv", "--tags", "conjecture"],
     ["bounds", "--tol", "1e-6", "--out", "{tmp}/nodir/x.csv"],
-], ids=["unreadable-residual", "unwritable-out"])
-def test_os_errors_exit_3(tmp_path, capsys, argv):
+    ["verify", "--out", "{tmp}/nodir/report.txt"],
+], ids=["unreadable-residual", "unwritable-out", "unwritable-verify-report"])
+def test_os_errors_exit_3(tmp_path, capsys, monkeypatch, argv):
     """A path that cannot be read or written is a defined error, not a
-    traceback."""
+    traceback; ``verify`` finds its report path bad before any check runs."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran before --out was opened")
+
+    monkeypatch.setattr(verify, "run_checks", never)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("sepscope: error: ") and "No such file" in err

@@ -1,6 +1,7 @@
 """Estimator-layer tests: tallies, histograms, minors, comparisons."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import sepscope.estimator as estimator
 from sepscope.errors import InsufficientSamplesError
 from sepscope.estimator import (
     DesfHistogram,
-    EstimateResult,
     compare_curves,
     estimate_abs_sep_probability,
     estimate_desf,
@@ -37,19 +37,41 @@ def _lds(seed, dimension=9):
 
 
 def test_from_counts_math():
-    res = EstimateResult.from_counts(30, 100, 400)
+    res = estimator._estimate_result([(100, 30)], 400)
     assert res.mean == 0.3
     assert res.stderr == pytest.approx(math.sqrt(0.3 * 0.7 / 100), abs=1e-15)
     assert res.ci95 == (res.mean - 2 * res.stderr, res.mean + 2 * res.stderr)
     assert res.n_effective == 100 and res.n_total == 400
     assert res.replicate_means is None
-    zero = EstimateResult.from_counts(0, 50, 50)
+    zero = estimator._estimate_result([(50, 0)], 50)
     assert zero.mean == 0.0 and zero.stderr == 0.0
 
 
 def test_from_counts_requires_conditioning_samples():
     with pytest.raises(InsufficientSamplesError):
-        EstimateResult.from_counts(0, 0, 5)
+        estimator._estimate_result([(0, 0)], 5)
+    with pytest.raises(InsufficientSamplesError):
+        estimator._estimate_result([(40, 10), (0, 0), (40, 12)], 300)
+
+
+def test_binomial_se_is_the_ratio_formula():
+    for p, n in ((0.3, 100), (0.4528, 123_457), (1.0 / 3.0, 7)):
+        assert estimator._binomial_se(p, n) == math.sqrt(p * (1 - p) / n)
+    assert math.isnan(estimator._binomial_se(0.5, 0))
+    assert math.isnan(estimator._binomial_se(float("nan"), 10))
+    got = estimator._binomial_se(np.array([0.25, np.nan, 0.5]), np.array([8, 8, 0]))
+    assert got[0] == math.sqrt(0.25 * 0.75 / 8) and np.isnan(got[1:]).all()
+
+
+def test_run_batches_returns_tallies_in_task_order():
+    """Later tasks finish first here, yet the tallies come back in task order."""
+
+    def kernel(spec, offset, size):
+        time.sleep(0.002 * (8 - offset))
+        return (spec, offset, size)
+
+    tasks = [("s", k, 10 + k) for k in range(8)]
+    assert estimator._run_batches(tasks, kernel, 3) == tasks
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +143,7 @@ def test_batch_partition_never_changes_tallies(monkeypatch, run, batch_size, wor
 def test_batch_plan_covers_range(monkeypatch):
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     plan = estimator._batch_plan(2501)
-    assert plan == [(0, 0, 1000), (1, 1000, 1000), (2, 2000, 501)]
+    assert plan == [(0, 1000), (1000, 1000), (2000, 501)]
 
 
 def test_all_separable_when_constraint_is_disabled(monkeypatch):

@@ -228,9 +228,3 @@ def test_star_discrepancy_validation():
     with pytest.raises(ValueError):
         star_discrepancy(np.array([[1.0, 0.5]]))  # right-closed point
 
-
-def test_low_discrepancy_beats_pseudo_random_spread():
-    n, d = 64, 3
-    lds = next_points(SequenceSpec("low_discrepancy", 7, dimension=d), n)
-    prng = next_points(SequenceSpec("pseudo_random", 7, dimension=d), n)
-    assert star_discrepancy(lds) < star_discrepancy(prng)

@@ -39,17 +39,20 @@ def test_a_raising_check_is_a_failed_check(monkeypatch):
 
 
 def test_psd_sample_matches_map_then_mask(monkeypatch):
-    """Drawn batch by batch, masked before it is mapped, the sample is the
-    one a single map-then-mask call over the whole stream gives."""
+    """Drawn batch by batch, masked before it is mapped, on one worker or
+    three, the sample is the one a single map-then-mask call over the whole
+    stream gives."""
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
     n = 3500
     pts = next_points(verify._prng(9108), n)
     diag, z = cube_to_bloore_batch(pts[:, :3]), 2.0 * pts[:, 3:] - 1.0
     keep = z_psd_mask(z)
-    got_diag, got_z = verify._psd_sample(9108, n)
-    assert len(got_z) > 0
-    assert np.array_equal(got_diag, diag[keep])
-    assert np.array_equal(got_z, z[keep])
+    assert len(estimator._batch_plan(n)) == 4
+    for workers in (1, 3):
+        got_diag, got_z = verify._psd_sample(workers, 9108, n)
+        assert len(got_z) > 0
+        assert np.array_equal(got_diag, diag[keep])
+        assert np.array_equal(got_z, z[keep])
 
 
 def test_xi_counts_add_over_batches(monkeypatch):
