@@ -103,10 +103,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, subcommand, params, sequence, header, rows, data, preamble=()) -> int:
-    """Write one artifact in ``args.format``: the CSV ``# preamble`` lines,
-    ``header`` and ``rows``, or the JSON object ``data``, under a manifest
-    whose ``output_sha256`` is the digest of that data section.
+def _emit(fh, args, subcommand, params, sequence, header, rows, data,
+          preamble=()) -> int:
+    """Write one artifact to the stream ``fh`` in ``args.format``: the CSV
+    ``# preamble`` lines, ``header`` and ``rows``, or the JSON object
+    ``data``, under a manifest whose ``output_sha256`` is the digest of that
+    data section.
     :func:`_read_artifact` is its inverse.  JSON writes a non-finite float
     as ``null``; the CSV keeps ``nan`` and ``inf``."""
     as_json = args.format == "json"
@@ -137,8 +139,7 @@ def _emit(args, subcommand, params, sequence, header, rows, data, preamble=()) -
             f"# sepscope {__version__} {subcommand}\n"
             f"# manifest: {_canonical(manifest)}\n" + body
         )
-    with _open_out(args.out) as fh:
-        fh.write(text)
+    fh.write(text)
     return _EXIT_OK
 
 
@@ -219,7 +220,9 @@ def _cmd_bounds(args) -> int:
         for r in rows
     ]
     data = {"rows": [dict(zip(header, row)) for row in out_rows]}
-    return _emit(args, "bounds", {"tol": args.tol}, None, header, out_rows, data)
+    with _open_out(args.out) as fh:
+        return _emit(fh, args, "bounds", {"tol": args.tol}, None, header,
+                     out_rows, data)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +256,29 @@ def _cmd_estimate(args) -> int:
         "sep": estimate_sep_probability,
         "abs_sep": estimate_abs_sep_probability,
     }[args.target]
-    t0 = time.perf_counter()
-    res = fn(spec, args.n, workers=workers, replicates=args.replicates)
-    dt = time.perf_counter() - t0
-    print(f"wall time: {dt:.2f} s", file=sys.stderr)
-    n_replicates = len(res.replicate_means) if res.replicate_means else 1
-    for note in _split_notes(spec, args.n, n_replicates, res.n_total):
-        print(f"note: {note}", file=sys.stderr)
-    params = {"target": args.target, "n": args.n, "replicates": n_replicates}
-    header = (
-        "target", "mean", "stderr", "n_effective", "n_total",
-        "ci95_lo", "ci95_hi", "replicates",
-    )
-    row = (
-        args.target, res.mean, res.stderr, res.n_effective, res.n_total,
-        res.ci95[0], res.ci95[1], n_replicates,
-    )
-    data = dict(zip(header, row))
-    if res.replicate_means is not None:
-        data["replicate_means"] = list(res.replicate_means)
-    return _emit(args, "estimate", params, spec.to_dict(), header, [row], data)
+    # opened before sampling, so a bad path fails at once
+    with _open_out(args.out) as fh:
+        t0 = time.perf_counter()
+        res = fn(spec, args.n, workers=workers, replicates=args.replicates)
+        dt = time.perf_counter() - t0
+        print(f"wall time: {dt:.2f} s", file=sys.stderr)
+        n_replicates = len(res.replicate_means) if res.replicate_means else 1
+        for note in _split_notes(spec, args.n, n_replicates, res.n_total):
+            print(f"note: {note}", file=sys.stderr)
+        params = {"target": args.target, "n": args.n, "replicates": n_replicates}
+        header = (
+            "target", "mean", "stderr", "n_effective", "n_total",
+            "ci95_lo", "ci95_hi", "replicates",
+        )
+        row = (
+            args.target, res.mean, res.stderr, res.n_effective, res.n_total,
+            res.ci95[0], res.ci95[1], n_replicates,
+        )
+        data = dict(zip(header, row))
+        if res.replicate_means is not None:
+            data["replicate_means"] = list(res.replicate_means)
+        return _emit(fh, args, "estimate", params, spec.to_dict(), header,
+                     [row], data)
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +289,35 @@ def _cmd_estimate(args) -> int:
 def _cmd_desf(args) -> int:
     spec = _sequence_spec(args)
     workers = _workers(args)
-    t0 = time.perf_counter()
-    hist = estimate_desf(
-        spec, args.n, bins=args.bins, ximax=args.ximax, workers=workers
-    )
-    dt = time.perf_counter() - t0
-    print(f"wall time: {dt:.2f} s", file=sys.stderr)
-    for note in _split_notes(spec, args.n, 1, args.n):
-        print(f"note: {note}", file=sys.stderr)
-    params = {"n": args.n, "bins": args.bins, "ximax": args.ximax}
-    header = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
-    edges = hist.bin_edges
-    rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd.tolist(),
-               hist.n_sep.tolist(), hist.ratio, hist.stderr)
-    outside = (
-        f"outside: n_psd={hist.n_psd_outside} n_sep={hist.n_sep_outside} "
-        f"n_total={hist.n_total}"
-    )
-    data = {
-        "bin_edges": edges.tolist(),
-        "n_psd": hist.n_psd.tolist(),
-        "n_sep": hist.n_sep.tolist(),
-        "n_psd_outside": hist.n_psd_outside,
-        "n_sep_outside": hist.n_sep_outside,
-        "n_total": hist.n_total,
-    }
-    return _emit(args, "desf", params, spec.to_dict(), header, rows, data,
-                 preamble=(outside,))
+    # opened before sampling, so a bad path fails at once
+    with _open_out(args.out) as fh:
+        t0 = time.perf_counter()
+        hist = estimate_desf(
+            spec, args.n, bins=args.bins, ximax=args.ximax, workers=workers
+        )
+        dt = time.perf_counter() - t0
+        print(f"wall time: {dt:.2f} s", file=sys.stderr)
+        for note in _split_notes(spec, args.n, 1, args.n):
+            print(f"note: {note}", file=sys.stderr)
+        params = {"n": args.n, "bins": args.bins, "ximax": args.ximax}
+        header = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
+        edges = hist.bin_edges
+        rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd.tolist(),
+                   hist.n_sep.tolist(), hist.ratio, hist.stderr)
+        outside = (
+            f"outside: n_psd={hist.n_psd_outside} n_sep={hist.n_sep_outside} "
+            f"n_total={hist.n_total}"
+        )
+        data = {
+            "bin_edges": edges.tolist(),
+            "n_psd": hist.n_psd.tolist(),
+            "n_sep": hist.n_sep.tolist(),
+            "n_psd_outside": hist.n_psd_outside,
+            "n_sep_outside": hist.n_sep_outside,
+            "n_total": hist.n_total,
+        }
+        return _emit(fh, args, "desf", params, spec.to_dict(), header, rows,
+                     data, preamble=(outside,))
 
 
 _DESF_FIELDS = (
@@ -462,7 +470,8 @@ def _cmd_curves(args) -> int:
     header = ["xi"] + tags
     rows = zip(grid, *(cols[t] for t in tags))
     data = {"xi": grid.tolist(), **{t: cols[t].tolist() for t in tags}}
-    return _emit(args, "curves", params, None, header, rows, data)
+    with _open_out(args.out) as fh:
+        return _emit(fh, args, "curves", params, None, header, rows, data)
 
 
 def _cmd_curves_residual(args) -> int:
@@ -492,8 +501,10 @@ def _cmd_curves_residual(args) -> int:
         "n_used": cmp_.n_used,
         "n_skipped": cmp_.n_skipped,
     }
-    return _emit(args, "curves", params, None, header, rows, data,
-                 preamble=(summary,))
+    # opened after the histogram is read, so --out may name that file
+    with _open_out(args.out) as fh:
+        return _emit(fh, args, "curves", params, None, header, rows, data,
+                     preamble=(summary,))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,17 @@ Two engines produce points in ``[0, 1)^d``:
 * ``pseudo_random`` -- counter-based Philox.  Because the generator is
   counter-based, jumping to an arbitrary point index is cheap, which is what
   makes deterministic work-splitting across processes possible.
-* ``low_discrepancy`` -- scrambled Sobol (``scipy.stats.qmc``),
-  fast-forwardable the same way.  ``scipy.stats`` takes about a second to
-  import, so it is loaded on the first Sobol draw: a process that reads only
-  Philox streams, or none, never pays for it.
+* ``low_discrepancy`` -- scrambled Sobol, drawn with numpy alone and byte for
+  byte the points of ``scipy.stats.qmc.Sobol(d, scramble=..., seed=seed)``
+  after ``fast_forward(offset)``.  The direction numbers are the Joe-Kuo set
+  (Joe & Kuo, SIAM J. Sci. Comput. 30, 2635 (2008)), stored below for
+  dimensions 1-40, so a ``low_discrepancy`` spec has at most 40 dimensions.
+  The scramble is the linear matrix scramble (LMS) plus a digital shift,
+  drawn from ``np.random.default_rng(seed)`` in scipy's order: first the
+  shift bits, then the lower-triangular matrices.  A read splits its row
+  range into aligned power-of-two blocks and fills each from its first
+  point, so its cost does not depend on the offset.  The stream has 2**30
+  rows.
 
 The fundamental contract is *skippability*: for a fixed spec,
 ``next_points(spec, n, offset)`` returns exactly rows ``offset .. offset+n-1``
@@ -31,7 +38,6 @@ it on its first call, so the quadrature commands load no scipy module.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +62,36 @@ _U_CLIP = 1e-12
 # Corners of the star-discrepancy grid tested per vectorized pass.
 _CORNER_CHUNK = 8192
 
+# Joe-Kuo direction numbers of Sobol dimensions 1-40, one row per dimension:
+# the primitive polynomial (leading and constant terms included) and the
+# initial m_1..m_s, s its degree.  Copied from scipy's
+# ``stats/_sobol_direction_numbers.npz`` (``poly[:40]``, ``vinit[:40]``
+# trimmed to each degree); the first dimension is the van der Corput
+# sequence and takes no numbers.
+_SOBOL_TABLE = (
+    (1, ()), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)),
+)
+
+# Bits of a Sobol coordinate; the stream has 2**_SOBOL_BITS rows.
+_SOBOL_BITS = 30
+
 
 @dataclass(frozen=True)
 class SequenceSpec:
@@ -78,8 +114,13 @@ class SequenceSpec:
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 1 <= self.dimension <= 21201:  # Sobol direction-number limit
+        if not 1 <= self.dimension <= 21201:  # scipy's Sobol limit, kept for Philox
             raise ValueError(f"dimension out of range: {self.dimension}")
+        if self.engine == "low_discrepancy" and self.dimension > len(_SOBOL_TABLE):
+            raise ValueError(
+                f"a low_discrepancy spec has at most {len(_SOBOL_TABLE)} "
+                f"dimensions (the Sobol direction-number table), got {self.dimension}"
+            )
 
     def spawn(self, index: int) -> "SequenceSpec":
         """A statistically independent child spec (for replicate r)."""
@@ -113,17 +154,76 @@ def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
             gen.random(rem)
         pts = gen.random((n, d))
     else:
-        from scipy.stats import qmc  # ~1 s to import; only Sobol streams need it
-
-        eng = qmc.Sobol(d=d, scramble=spec.scramble, seed=spec.seed)
-        if offset:
-            eng.fast_forward(offset)
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message="The balance properties of Sobol"
-            )
-            pts = eng.random(n)
+        pts = _sobol(spec, n, offset)
     return pts
+
+
+def _sobol_directions(spec: SequenceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The first point (the digital shift) and the ``(d, 30)`` direction
+    vectors of a Sobol stream, scrambled as ``scipy.stats.qmc.Sobol`` does.
+
+    Column ``j`` holds m_j shifted to the top of the 30 bits, with the m_j
+    continued past the table by the Joe-Kuo recurrence.
+    """
+    d, bits = spec.dimension, _SOBOL_BITS
+    m = np.empty((d, bits), dtype=np.uint32)
+    m[0] = 1
+    for row, (poly, m_init) in zip(m[1:], _SOBOL_TABLE[1:]):
+        s = len(m_init)
+        mj = list(m_init)
+        for j in range(s, bits):
+            new = mj[j - s]
+            for k in range(s):
+                if (poly >> (s - 1 - k)) & 1:
+                    new ^= mj[j - k - 1] << (k + 1)
+            mj.append(new)
+        row[:] = mj
+    msb = np.arange(bits - 1, -1, -1, dtype=np.uint32)  # bit of column i
+    v = m << msb
+    if not spec.scramble:
+        return np.zeros(d, dtype=np.uint32), v
+    rng = np.random.default_rng(spec.seed)
+    shift_bits = rng.integers(0, 2, (d, bits), dtype=np.uint32)  # column b is bit b
+    shift = shift_bits @ (np.uint32(1) << np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, (d, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # Each vector, as its bits from the top down, times the unit lower-
+    # triangular matrix of its dimension over GF(2).
+    v_bits = (v[:, :, None] >> msb) & 1
+    scrambled = np.einsum("dpi,dji->djp", ltm, v_bits) & 1
+    return shift, (scrambled << msb).sum(axis=2, dtype=np.uint32)
+
+
+def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
+    """Rows ``offset .. offset+n-1`` of the Sobol stream of ``spec``.
+
+    Row k is ``shift ^ XOR{v_b : bit b of gray(k)}`` scaled by 2**-30.  The
+    range is split into maximal aligned power-of-two blocks; since
+    ``gray(a + i) = gray(a) ^ gray(i)`` for ``a`` a multiple of a power of two
+    above ``i``, each block doubles from its first row:
+    ``x[h:2h] = x[h-1::-1] ^ v_j`` for ``h = 2**j``.
+    """
+    if offset + n > 1 << _SOBOL_BITS:
+        raise ValueError(
+            f"a Sobol stream has 2**{_SOBOL_BITS} rows; rows {offset}.."
+            f"{offset + n - 1} run past it"
+        )
+    shift, v = _sobol_directions(spec)
+    q = np.empty((n, spec.dimension), dtype=np.uint32)
+    start, end = offset, offset + n
+    while start < end:
+        size = 1 << ((end - start).bit_length() - 1)
+        if start:
+            size = min(size, start & -start)
+        block = q[start - offset:start - offset + size]
+        gray = start ^ (start >> 1)
+        in_gray = ((gray >> np.arange(_SOBOL_BITS)) & 1).astype(bool)
+        block[0] = shift ^ np.bitwise_xor.reduce(v[:, in_gray], axis=1)
+        for j in range(size.bit_length() - 1):
+            h = 1 << j
+            np.bitwise_xor(block[h - 1::-1], v[:, j], out=block[h:2 * h])
+        start += size
+    return q * 2.0 ** -_SOBOL_BITS
 
 
 def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:

@@ -325,6 +325,19 @@ def test_residual_json_writes_non_finite_values_as_null(tmp_path):
     assert data["n_skipped"] == cmp_.n_skipped
 
 
+def test_residual_may_overwrite_its_histogram(tmp_path):
+    """``curves --residual H --out H`` reads the histogram before it opens
+    the output, so it writes the residual table it would write elsewhere."""
+    hist_path = tmp_path / "hist.csv"
+    assert main(["desf", "--n", "20000", "--bins", "11", "--seed", "1",
+                 "--out", str(hist_path)]) == 0
+    elsewhere = tmp_path / "res.csv"
+    argv = ["curves", "--residual", str(hist_path), "--tags", "conjecture", "--out"]
+    assert main(argv + [str(elsewhere)]) == 0
+    assert main(argv + [str(hist_path)]) == 0
+    assert hist_path.read_bytes() == elsewhere.read_bytes()
+
+
 def test_residual_needs_exactly_one_tag(tmp_path):
     hist_path = tmp_path / "hist.csv"
     assert main(["desf", "--n", "20000", "--out", str(hist_path)]) == 0
@@ -688,15 +701,22 @@ def test_numeric_errors_exit_3(capsys):
     ["curves", "--residual", "{tmp}/missing.csv", "--tags", "conjecture"],
     ["bounds", "--tol", "1e-6", "--out", "{tmp}/nodir/x.csv"],
     ["verify", "--out", "{tmp}/nodir/report.txt"],
-], ids=["unreadable-residual", "unwritable-out", "unwritable-verify-report"])
+    ["desf", "--engine", "lds", "--n", "1048576", "--bins", "41",
+     "--out", "{tmp}/nodir/x.csv"],
+    ["estimate", "--engine", "prng", "--n", "1048576", "--out", "{tmp}/nodir/x.json"],
+], ids=["unreadable-residual", "unwritable-out", "unwritable-verify-report",
+        "unwritable-desf", "unwritable-estimate"])
 def test_os_errors_exit_3(tmp_path, capsys, monkeypatch, argv):
     """A path that cannot be read or written is a defined error, not a
-    traceback; ``verify`` finds its report path bad before any check runs."""
+    traceback; ``verify``, ``desf`` and ``estimate`` find their output path
+    bad before any check runs or any point is sampled."""
 
     def never(*args, **kwargs):
-        raise AssertionError("a check ran before --out was opened")
+        raise AssertionError("work ran before --out was opened")
 
     monkeypatch.setattr(verify, "run_checks", never)
+    monkeypatch.setattr(cli, "estimate_desf", never)
+    monkeypatch.setattr(cli, "estimate_sep_probability", never)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("sepscope: error: ") and "No such file" in err

@@ -5,10 +5,11 @@ A cold start is mostly imports: ``scipy.special`` costs about 0.3 s and
 ``curves``, ``curves --residual``) and ``--version`` load no scipy module
 at all: the Gauss-Jacobi rule, ``lgamma`` and the state algebra in
 ``sepscope.qstate`` are numpy and the standard library.  The cube-to-state
-map loads ``scipy.special`` (``betaincinv``) on its first call, the Sobol
-stream loads ``scipy.stats``, and ``verify`` loads ``scipy.stats`` and
-``scipy.integrate``.  Each check runs in a fresh interpreter, since this
-test session has long loaded these modules.
+map loads ``scipy.special`` (``betaincinv``) on its first call, and the
+Sobol stream is numpy alone, so ``estimate`` and ``desf`` load
+``scipy.special`` and nothing more.  Only ``verify`` loads ``scipy.stats``
+and ``scipy.integrate``.  Each check runs in a fresh interpreter, since
+this test session has long loaded these modules.
 """
 
 import json
@@ -48,6 +49,7 @@ for argv in (
     ["desf", "--engine", "prng", "--n", "20000", "--bins", "11", "--out", "hist2.csv"],
     ["estimate", "--engine", "prng", "--n", "20000", "--out", "prng.json"],
     ["estimate", "--engine", "lds", "--n", "20000", "--out", "lds.json"],
+    ["desf", "--engine", "lds", "--n", "20000", "--bins", "11", "--out", "hist3.csv"],
 ):
     assert main(argv) == 0, argv
     loaded[" ".join(argv[:3])] = scipy_loaded()
@@ -78,14 +80,15 @@ def test_quadrature_commands_load_no_scipy(loaded):
     assert "scipy.special" in loaded["desf --engine prng"]
 
 
-def test_only_sobol_and_verify_load_scipy_stats(loaded):
+def test_only_verify_loads_scipy_stats(loaded):
+    """No command run here loads ``scipy.stats`` or ``scipy.integrate``: the
+    Sobol stream is numpy, so the lds commands load ``scipy.special`` (the
+    map's) and no more."""
     for step, modules in loaded.items():
         heavy = [m for m in ("scipy.stats", "scipy.integrate") if m in modules]
-        if step == "estimate --engine lds":
-            # the first Sobol draw loads scipy.stats, which brings scipy.integrate
-            assert heavy == ["scipy.stats", "scipy.integrate"]
-        else:
-            assert heavy == [], step
+        assert heavy == [], step
+    for step in ("estimate --engine lds", "desf --engine lds"):
+        assert "scipy.special" in loaded[step], step
 
 
 def _fresh_import(module):

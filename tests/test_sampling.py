@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
+from scipy.stats import qmc
 
+from sepscope import sampling
 from sepscope.sampling import (
     ENGINES,
     SequenceSpec,
@@ -35,6 +40,10 @@ def test_spec_validation():
         SequenceSpec("pseudo_random", 0, dimension=0)
     with pytest.raises(ValueError):
         SequenceSpec("low_discrepancy", 0, dimension=30000)
+    SequenceSpec("low_discrepancy", 0, dimension=40)
+    SequenceSpec("pseudo_random", 0, dimension=41)
+    with pytest.raises(ValueError, match="at most 40 dimensions"):
+        SequenceSpec("low_discrepancy", 0, dimension=41)
 
 
 def test_spec_dict_roundtrip():
@@ -119,6 +128,74 @@ def test_unscrambled_sobol_prefix():
     pts = next_points(spec, 2)
     assert np.array_equal(pts[0], [0.0, 0.0])
     assert np.array_equal(pts[1], [0.5, 0.5])
+
+
+def _scipy_sobol(spec, n, offset):
+    """The reference: scipy's Sobol engine, fast-forwarded to ``offset``."""
+    eng = qmc.Sobol(d=spec.dimension, scramble=spec.scramble, seed=spec.seed)
+    if offset:
+        eng.fast_forward(offset)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="The balance properties of Sobol")
+        return eng.random(n)
+
+
+_SOBOL_SEEDS = (0, 5, 123456789, 2**40 + 7, 2**63 + 5, 2**64 - 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 9, 20, 40])
+def test_sobol_matches_scipy(d):
+    """The numpy Sobol stream is byte for byte scipy's: every seed,
+    scrambled and not, at aligned and unaligned offsets, for lengths that
+    are and are not powers of two."""
+    reads = [(0, 0), (1, 0), (1, 7), (1000, 0), (4097, 3), (1000, 2**20),
+             (4097, 3 * 2**20 + 17)]
+    for seed, scramble in itertools.product(_SOBOL_SEEDS, (True, False)):
+        spec = SequenceSpec("low_discrepancy", seed, dimension=d, scramble=scramble)
+        for n, offset in reads:
+            got = next_points(spec, n, offset)
+            want = _scipy_sobol(spec, n, offset)
+            assert got.tobytes() == want.tobytes(), (seed, scramble, n, offset)
+            assert got.shape == want.shape and got.dtype == want.dtype
+    # long reads, one seed each way
+    for scramble in (True, False):
+        spec = SequenceSpec("low_discrepancy", 5, dimension=d, scramble=scramble)
+        reads = [(300_001, 12_345)] + ([(2**20, 2**20)] if d <= 9 else [])
+        for n, offset in reads:
+            assert np.array_equal(next_points(spec, n, offset),
+                                  _scipy_sobol(spec, n, offset)), (scramble, n, offset)
+
+
+def test_sobol_replicate_streams_match_scipy():
+    """The spawned seeds of the lds replicates (64-bit integers) scramble as
+    scipy does."""
+    spec = SequenceSpec("low_discrepancy", 3)
+    for r in range(8):
+        child = spec.spawn(r)
+        for n, offset in ((4096, 0), (4096, 4096), (3000, 12_345)):
+            assert np.array_equal(next_points(child, n, offset),
+                                  _scipy_sobol(child, n, offset)), (r, n, offset)
+
+
+def test_sobol_table_is_scipys():
+    """The literal direction numbers are the first 40 rows of the file scipy
+    ships, ``vinit`` trimmed to each polynomial's degree."""
+    path = Path(scipy.stats.__file__).parent / "_sobol_direction_numbers.npz"
+    with np.load(path) as npz:
+        poly, vinit = npz["poly"], npz["vinit"]
+    table = sampling._SOBOL_TABLE
+    assert len(table) == 40
+    for k, (p, m_init) in enumerate(table):
+        degree = int(poly[k]).bit_length() - 1
+        assert p == poly[k], k
+        assert m_init == tuple(vinit[k, :degree].tolist()), k
+
+
+def test_sobol_stream_ends_at_2_to_the_30():
+    spec = SequenceSpec("low_discrepancy", 1)
+    assert next_points(spec, 5, 2**30 - 5).shape == (5, 9)
+    with pytest.raises(ValueError, match="2\\*\\*30"):
+        next_points(spec, 10, 2**30 - 5)
 
 
 def test_scramble_seed_changes_low_discrepancy_stream():
