@@ -177,16 +177,23 @@ def _open_out(out):
 
 
 def _sequence_spec(args) -> SequenceSpec:
-    return SequenceSpec(_ENGINE_NAMES[args.engine], args.seed, dimension=9,
+    return SequenceSpec(_ENGINE_NAMES[args.engine], args.seed,
                         scramble=not args.no_scramble)
 
 
 def _workers(args) -> int:
-    w = args.workers
+    """``--workers``, else ``$SEPSCOPE_WORKERS``, else 1; an error names the
+    one it read."""
+    w, name = args.workers, "workers"
     if w is None:
-        w = int(os.environ.get("SEPSCOPE_WORKERS", "1"))
+        name = "SEPSCOPE_WORKERS"
+        text = os.environ.get(name, "1")
+        try:
+            w = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
     if w < 1:
-        raise ValueError(f"workers must be >= 1, got {w}")
+        raise ValueError(f"{name} must be >= 1, got {w}")
     return w
 
 

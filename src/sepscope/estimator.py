@@ -8,20 +8,20 @@ Every estimator here follows one discipline:
   per-bin, per-grid-point events);
 * tallies merge in plan order.
 
-One driver (``_estimate``) plans and merges the batches of all four
-estimators.  ``_run_batches`` runs them: it maps a kernel over ``(spec,
-offset, size)`` tasks and returns the tallies in task order, and
-``_estimate`` sums each replicate's tallies in that order.  ``verify`` draws
-its sample of states through ``_run_batches`` too.  Every batch starts with
-one survivor-first stage (``_positive_rows``), the one place that splits a
+One driver (``_estimate``) is the only place a batch is built.  Every
+batch runs one stage (``_positive_states``), the one place that splits a
 cube point: stream -> correlations ``z = 2u - 1`` of the last six
-coordinates -> positivity mask, keeping the stick coordinates and ``z`` of
-the points whose ``z`` is a positive correlation matrix.  Positivity never
-depends on the diagonal, so the state estimators map only those survivors'
-sticks to their diagonal (``_states``), about 18% of the stream, before the
-separability test and the tally; the minor estimator takes the survivors'
-``z`` and skips the map.  The map is row-wise, so masking first changes no
-tally.
+coordinates -> positivity mask -> the survivors' stick coordinates mapped
+to their diagonal, when the point has sticks.  Positivity never depends on
+the diagonal, so only the survivors are mapped, about 18% of the stream;
+the map is row-wise, so masking first changes no tally.  Each estimator is
+then a ``tally(diag, z)`` of that batch's positive states: the separable
+and absolutely separable counts, the DESF histogram, the minor counts at
+each exact xi (6-d points, which carry no sticks).  ``_estimate`` adds the
+positives and the tallies of each replicate in plan order, and refuses a
+replicate with no positive state.  ``_run_batches`` maps a batch over its
+``(spec, offset, size)`` tasks and returns the results in task order;
+``verify`` runs the stage through it to draw its sample of states.
 
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
 depend on execution order, results are byte-identical no matter how many
@@ -106,10 +106,6 @@ def _estimate_result(per_rep, n_total: int) -> EstimateResult:
     """The estimate from each replicate's ``(positives, events)`` tally: one
     replicate's ratio with its binomial error, or the mean of several
     replicates' ratios with the standard error of their spread."""
-    if any(eff <= 0 for eff, _ in per_rep):
-        raise InsufficientSamplesError(
-            "no samples of a replicate satisfied the conditioning event; increase n"
-        )
     n_eff = sum(eff for eff, _ in per_rep)
     means = [hits / eff for eff, hits in per_rep]
     if len(means) == 1:
@@ -132,12 +128,28 @@ def _run_batches(tasks, kernel, workers: int):
         return list(pool.map(lambda task: kernel(*task), tasks))
 
 
-def _estimate(spec, n, dimension, kernel, workers, replicates=1):
+def _positive_states(spec, offset, size):
+    """The one stage of every batch: stream it, form ``z = 2u - 1`` of the
+    last six coordinates, mask on positivity, and map the survivors' stick
+    coordinates to their diagonal when the point has sticks.  Returns the
+    ``(diag or None, z)`` of the batch's positive states."""
+    pts = next_points(spec, size, offset)
+    z = 2.0 * pts[:, -6:] - 1.0
+    keep = z_psd_mask(z)
+    diag = cube_to_bloore_batch(pts[keep, :-6]) if pts.shape[1] > 6 else None
+    return diag, z[keep]
+
+
+def _estimate(spec, n, dimension, tally, workers, replicates=1):
     """The one batch driver: plan, run and merge every estimator's batches.
 
-    Replicate ``r`` of a pooled estimate reads ``n // replicates`` points of
-    its own stream ``spec.spawn(r)``.  Returns the merged tally of each
-    replicate, in replicate order, and the number of stream points read.
+    Each batch runs :func:`_positive_states` and then ``tally(diag, z)``, a
+    tuple of integer counts (ints or arrays).  Replicate ``r`` of a pooled
+    estimate reads ``n // replicates`` points of its own stream
+    ``spec.spawn(r)``.  Returns each replicate's ``(positives, *tally)``
+    summed in plan order, in replicate order, and the number of stream
+    points read; raises :class:`InsufficientSamplesError` if a replicate
+    has no positive state.
     """
     if spec.dimension != dimension:
         raise ValueError(
@@ -147,9 +159,20 @@ def _estimate(spec, n, dimension, kernel, workers, replicates=1):
         raise ValueError("n must be >= 1")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if replicates > 1 and spec.engine == "low_discrepancy" and not spec.scramble:
+        # spawn() changes only the seed, which an unscrambled net ignores
+        raise ValueError(
+            "an unscrambled low-discrepancy stream has one replicate; "
+            f"{replicates} would all read the same points"
+        )
     n_per = n // replicates
     if n_per < 1:
         raise ValueError(f"n={n} is too small for {replicates} replicates")
+
+    def kernel(batch_spec, offset, size):
+        diag, z = _positive_states(batch_spec, offset, size)
+        return (len(z), *tally(diag, z))
+
     specs = [spec] if replicates == 1 else [spec.spawn(r) for r in range(replicates)]
     plan = _batch_plan(n_per)
     tallies = _run_batches(
@@ -159,8 +182,12 @@ def _estimate(spec, n, dimension, kernel, workers, replicates=1):
     per_rep = []
     for start in range(0, len(tallies), len(plan)):
         merged, *rest = tallies[start:start + len(plan)]
-        for tally in rest:
-            merged = [a + t for a, t in zip(merged, tally)]
+        for batch in rest:
+            merged = tuple(a + t for a, t in zip(merged, batch))
+        if merged[0] <= 0:
+            raise InsufficientSamplesError(
+                "no samples of a replicate satisfied the conditioning event; increase n"
+            )
         per_rep.append(merged)
     return per_rep, n_per * replicates
 
@@ -174,22 +201,6 @@ def _default_replicates(spec: SequenceSpec) -> int:
     return 1
 
 
-def _positive_rows(spec, offset, size):
-    """Stream one batch and split it: the stick coordinates, and ``z = 2u - 1``
-    of the last six coordinates, of the points whose z is positive."""
-    pts = next_points(spec, size, offset)
-    z = 2.0 * pts[:, -6:] - 1.0
-    keep = z_psd_mask(z)
-    return pts[keep, :-6], z[keep]
-
-
-def _states(spec, offset, size):
-    """Stream and mask one batch, then map only its survivors' sticks: the
-    ``(diag, z)`` of its positive states."""
-    sticks, z = _positive_rows(spec, offset, size)
-    return cube_to_bloore_batch(sticks), z
-
-
 def _pt_separable(diag, z):
     """xi of each state, and whether its partial transpose has a non-negative
     determinant (for two qubits, exactly separability)."""
@@ -198,21 +209,13 @@ def _pt_separable(diag, z):
 
 
 def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
-    """P(test | positive), each batch tallying (positive states, passing)."""
-
-    def kernel(batch_spec, offset, size):
-        diag, z = _states(batch_spec, offset, size)
-        return (len(z), int(test(diag, z).sum()))
-
+    """P(test | positive), each batch tallying the states that pass."""
     if replicates is None:
         replicates = _default_replicates(spec)
-    if replicates > 1 and spec.engine == "low_discrepancy" and not spec.scramble:
-        # spawn() changes only the seed, which an unscrambled net ignores
-        raise ValueError(
-            "an unscrambled low-discrepancy stream has one replicate; "
-            f"{replicates} would all read the same points"
-        )
-    return _estimate_result(*_estimate(spec, n, 9, kernel, workers, replicates))
+    per_rep, n_total = _estimate(
+        spec, n, 9, lambda diag, z: (int(test(diag, z).sum()),), workers, replicates
+    )
+    return _estimate_result(per_rep, n_total)
 
 
 def estimate_sep_probability(
@@ -302,22 +305,6 @@ def _bin_of(edges: np.ndarray, x) -> np.ndarray:
     return np.where(idx < len(edges) - 1, idx, -1)
 
 
-def _make_desf_kernel(edges: np.ndarray):
-    nbins = len(edges) - 1
-
-    def kernel(spec, offset, size):
-        xi, sep = _pt_separable(*_states(spec, offset, size))
-        idx = _bin_of(edges, xi)
-        inside = idx >= 0
-        h_psd = np.bincount(idx[inside], minlength=nbins).astype(np.int64)
-        h_sep = np.bincount(idx[inside & sep], minlength=nbins).astype(np.int64)
-        out_psd = int((~inside).sum())
-        out_sep = int(sep[~inside].sum())
-        return (h_psd, h_sep, out_psd, out_sep)
-
-    return kernel
-
-
 def estimate_desf(
     spec: SequenceSpec,
     n: int,
@@ -338,13 +325,21 @@ def estimate_desf(
     if not (np.isfinite(ximax) and ximax > 0):
         raise ValueError("ximax must be positive and finite")
     edges = np.linspace(-ximax, ximax, bins + 1)
-    [tally], _ = _estimate(spec, n, 9, _make_desf_kernel(edges), workers)
-    h_psd, h_sep, out_psd, out_sep = tally
+
+    def tally(diag, z):
+        xi, sep = _pt_separable(diag, z)
+        idx = _bin_of(edges, xi)
+        inside = idx >= 0
+        return (np.bincount(idx[inside], minlength=bins).astype(np.int64),
+                np.bincount(idx[inside & sep], minlength=bins).astype(np.int64),
+                int(sep[~inside].sum()))
+
+    [(n_pos, h_psd, h_sep, out_sep)], _ = _estimate(spec, n, 9, tally, workers)
     return DesfHistogram(
         bin_edges=edges,
         n_psd=h_psd,
         n_sep=h_sep,
-        n_psd_outside=out_psd,
+        n_psd_outside=n_pos - int(h_psd.sum()),
         n_sep_outside=out_sep,
         n_total=n,
     )
@@ -353,20 +348,6 @@ def estimate_desf(
 # ---------------------------------------------------------------------------
 # Principal minors of the partial transpose at exact xi
 # ---------------------------------------------------------------------------
-
-def _make_minor_kernel(rows: tuple, xi_grid: np.ndarray):
-    """Per batch: the positive states, and at each xi how many of them have a
-    non-negative minor on ``rows`` of their partial transpose.  The sign is
-    diagonal-free (see ``qstate.pt_correlations``)."""
-
-    def kernel(spec, offset, size):
-        _, z = _positive_rows(spec, offset, size)
-        counts = [int((corr_minor(pt_correlations(z, xi), rows) >= 0.0).sum())
-                  for xi in xi_grid]
-        return (len(z), np.asarray(counts, dtype=np.int64))
-
-    return kernel
-
 
 @dataclass(frozen=True)
 class MinorGridEstimate:
@@ -427,12 +408,13 @@ def estimate_minor_desf(
         raise ValueError("xi_grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("xi_grid must be strictly increasing")
-    kernel = _make_minor_kernel(rows, grid)
-    [(n_psd, counts)], _ = _estimate(spec, n, 6, kernel, workers)
-    if n_psd <= 0:
-        raise InsufficientSamplesError(
-            "no samples satisfied the positivity conditioning; increase n"
-        )
+
+    def tally(_, z):
+        # the sign of the minor is diagonal-free (see qstate.pt_correlations)
+        return (np.array([(corr_minor(pt_correlations(z, xi), rows) >= 0.0).sum()
+                          for xi in grid], dtype=np.int64),)
+
+    [(n_psd, counts)], _ = _estimate(spec, n, 6, tally, workers)
     return MinorGridEstimate(xi=grid, n_psd=n_psd, n_event=counts)
 
 

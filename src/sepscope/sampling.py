@@ -27,11 +27,13 @@ Hilbert-Schmidt measure in two independent blocks: coordinates 0-2, the
 sticks, build the diagonal by stick-breaking through Beta quantile functions
 (the diagonal of a HS-random matrix is Dirichlet(5/2, 5/2, 5/2, 5/2)), and
 coordinates 3-8 map affinely onto the correlations ``z = 2u - 1``.
-Positivity is *not* imposed here; estimators count the fraction of the cube
-that lands inside the positive-semidefinite body.  The estimators' batch
-stage alone splits a point: it masks on ``z`` (positivity depends on it
-alone) and passes only the survivors' sticks (about 18% of the stream) to
-:func:`cube_to_bloore_batch`, which returns their diagonal and nothing else.
+A 6-dimensional point is the correlations alone.  Positivity is *not*
+imposed here; estimators count the fraction of the cube that lands inside
+the positive-semidefinite body.  The estimators' one batch stage
+(``estimator._positive_states``) alone splits a point: it masks on ``z``
+(positivity depends on it alone) and passes only the survivors' sticks
+(about 18% of the stream) to :func:`cube_to_bloore_batch`, which returns
+their diagonal and nothing else.
 That map is the only user of ``scipy.special`` (``betaincinv``) and imports
 it on its first call, so the quadrature commands load no scipy module.
 """

@@ -106,12 +106,16 @@ def _lds(seed, dimension=9):
     return sampling.SequenceSpec("low_discrepancy", seed, dimension=dimension)
 
 
+def _tasks(seed, n):
+    """The estimators' batches of ``n`` points of the Philox stream ``seed``."""
+    spec = _prng(seed)
+    return [(spec, off, size) for off, size in estimator._batch_plan(n)]
+
+
 def _psd_sample(workers, seed, n):
     """The ``(diag, z)`` of the positive states among ``n`` stream points,
-    drawn through the estimators' survivor-first stage and batch driver."""
-    spec = _prng(seed)
-    tasks = [(spec, off, size) for off, size in estimator._batch_plan(n)]
-    parts = estimator._run_batches(tasks, estimator._states, workers)
+    drawn one batch at a time through the estimators' stage."""
+    parts = estimator._run_batches(_tasks(seed, n), estimator._positive_states, workers)
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -345,16 +349,15 @@ def binomial_two_sided_pvalue(k: int, n: int, p: float) -> float:
 
 def _xi_counts(workers, seed, n, edges):
     """Histogram of xi over ``n`` stream points, positive or not, in the
-    estimators' half-open bins, drawn and mapped one batch at a time by
-    their batch driver; the counts of the batches add."""
+    estimators' half-open bins, drawn and mapped one batch at a time; the
+    counts of the batches add."""
 
     def kernel(spec, offset, size):
         diag = sampling.cube_to_bloore_batch(sampling.next_points(spec, size, offset)[:, :3])
         idx = estimator._bin_of(edges, xi_from_diag(diag))
-        return (np.bincount(idx[idx >= 0], minlength=len(edges) - 1),)
+        return np.bincount(idx[idx >= 0], minlength=len(edges) - 1)
 
-    [(counts,)], _ = estimator._estimate(_prng(seed), n, 9, kernel, workers)
-    return counts
+    return sum(estimator._run_batches(_tasks(seed, n), kernel, workers))
 
 
 def _xi_histogram(workers, seed, n, z_max):

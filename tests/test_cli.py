@@ -695,6 +695,22 @@ def test_numeric_errors_exit_3(capsys):
     assert main(["estimate", "--n", "100", "--workers", "0"]) == 3
     assert main(["desf", "--n", "100", "--bins", "1"]) == 3
     assert "error" in capsys.readouterr().err
+    # one stream point, not a positive state: no histogram of empty bins
+    assert main(["desf", "--n", "1", "--bins", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "no samples of a replicate satisfied" in err
+
+
+@pytest.mark.parametrize("value,message", [
+    ("abc", "SEPSCOPE_WORKERS must be an integer, got 'abc'"),
+    ("0", "SEPSCOPE_WORKERS must be >= 1, got 0"),
+], ids=["not-an-integer", "zero"])
+def test_bad_workers_variable_exits_3(capsys, monkeypatch, value, message):
+    """A bad ``$SEPSCOPE_WORKERS`` is an error that names the variable."""
+    monkeypatch.setenv("SEPSCOPE_WORKERS", value)
+    assert main(["estimate", "--n", "100"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sepscope: error: ") and message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,11 +47,25 @@ def test_from_counts_math():
     assert zero.mean == 0.0 and zero.stderr == 0.0
 
 
-def test_from_counts_requires_conditioning_samples():
+def test_driver_requires_conditioning_samples(monkeypatch):
+    """The batch driver refuses a replicate with no positive state, alone or
+    pooled with replicates that have some."""
+    real_mask = estimator.z_psd_mask
+    calls = []
+
+    def second_call_empty(z):
+        calls.append(len(z))
+        keep = real_mask(z)
+        return keep & (len(calls) != 2)
+
+    monkeypatch.setattr(estimator, "z_psd_mask", second_call_empty)
+    # one batch per replicate, run in order on one worker: replicate 1 is empty
+    with pytest.raises(InsufficientSamplesError, match="a replicate"):
+        estimate_sep_probability(_prng(5), 3000, replicates=3)
+    assert calls == [1000, 1000, 1000]
+    monkeypatch.setattr(estimator, "z_psd_mask", lambda z: np.zeros(len(z), dtype=bool))
     with pytest.raises(InsufficientSamplesError):
-        estimator._estimate_result([(0, 0)], 5)
-    with pytest.raises(InsufficientSamplesError):
-        estimator._estimate_result([(40, 10), (0, 0), (40, 12)], 300)
+        estimator._estimate(_prng(5), 5, 9, lambda diag, z: (len(z),), 1)
 
 
 def test_binomial_se_is_the_ratio_formula():
@@ -157,13 +171,14 @@ def test_all_separable_when_constraint_is_disabled(monkeypatch):
     assert res.n_effective > 0
 
 
-def test_positive_rows_split_each_point(monkeypatch):
+def test_positive_states_split_each_point(monkeypatch):
     """The batch stage is the one place that splits a cube point: z = 2u - 1
-    of the last six coordinates, the stick coordinates before them, and
-    only the rows whose z is positive survive."""
+    of the last six coordinates, the stick coordinates before them (mapped
+    here by the identity), and only the rows whose z is positive survive."""
     pts = np.vstack([np.full((1, 9), 0.5), next_points(_prng(5), 10_000)])
     monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts)
-    sticks, z = estimator._positive_rows(_prng(5), 0, len(pts))
+    monkeypatch.setattr(estimator, "cube_to_bloore_batch", lambda sticks: sticks)
+    sticks, z = estimator._positive_states(_prng(5), 0, len(pts))
     assert np.array_equal(z[0], np.zeros(6))  # u = 0.5 maps to the center
     assert np.array_equal(sticks[0], np.full(3, 0.5))
     assert np.all((z >= -1.0) & (z <= 1.0))
@@ -171,10 +186,15 @@ def test_positive_rows_split_each_point(monkeypatch):
     assert 0 < keep.sum() < len(pts)
     assert np.array_equal(sticks, pts[keep, :3])
     assert np.array_equal(z, 2.0 * pts[keep, 3:] - 1.0)
-    # a 6-d point is all correlations: no sticks to carry
+    # a 6-d point is all correlations: no sticks to map
+
+    def no_map(sticks):
+        raise AssertionError("a 6-d point has no sticks to map")
+
+    monkeypatch.setattr(estimator, "cube_to_bloore_batch", no_map)
     monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts[:, 3:])
-    sticks6, z6 = estimator._positive_rows(_prng(5, dimension=6), 0, len(pts))
-    assert sticks6.shape == (len(z), 0) and np.array_equal(z6, z)
+    diag6, z6 = estimator._positive_states(_prng(5, dimension=6), 0, len(pts))
+    assert diag6 is None and np.array_equal(z6, z)
 
 
 def test_only_positive_points_are_mapped(monkeypatch):
@@ -490,13 +510,19 @@ def test_estimate_minor_desf_validation():
 
 
 def test_estimate_minor_desf_nothing_survives(monkeypatch):
+    """With no positive state every estimator fails the same way; a
+    histogram of empty bins is not a result."""
     monkeypatch.setattr(
         estimator, "z_psd_mask", lambda z: np.zeros(len(z), dtype=bool)
     )
-    with pytest.raises(InsufficientSamplesError):
-        estimate_minor_desf(
-            _prng(0, dimension=6), 100, (1, 2, 3), [0.0]
-        )
+    runs = (
+        lambda: estimate_minor_desf(_prng(0, dimension=6), 100, (1, 2, 3), [0.0]),
+        lambda: estimate_desf(_prng(0), 100, bins=5),
+        lambda: estimate_sep_probability(_prng(0), 100),
+    )
+    for run in runs:
+        with pytest.raises(InsufficientSamplesError, match="increase n"):
+            run()
 
 
 def test_minor_estimates_track_their_curves():
