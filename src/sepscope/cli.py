@@ -41,11 +41,11 @@ import numpy as np
 from . import __version__
 from .errors import SepscopeError
 from .estimator import (
+    TARGETS,
     DesfHistogram,
     compare_curves,
-    estimate_abs_sep_probability,
     estimate_desf,
-    estimate_sep_probability,
+    estimate_probability,
 )
 from .quadrature import (
     SPECULATION_REF_EXPR,
@@ -259,14 +259,11 @@ def _split_notes(spec, n, replicates, n_total):
 def _cmd_estimate(args) -> int:
     spec = _sequence_spec(args)
     workers = _workers(args)
-    fn = {
-        "sep": estimate_sep_probability,
-        "abs_sep": estimate_abs_sep_probability,
-    }[args.target]
     # opened before sampling, so a bad path fails at once
     with _open_out(args.out) as fh:
         t0 = time.perf_counter()
-        res = fn(spec, args.n, workers=workers, replicates=args.replicates)
+        res = estimate_probability(args.target, spec, args.n, workers=workers,
+                                   replicates=args.replicates)
         dt = time.perf_counter() - t0
         print(f"wall time: {dt:.2f} s", file=sys.stderr)
         n_replicates = len(res.replicate_means) if res.replicate_means else 1
@@ -450,10 +447,21 @@ def _check_tags(tags, valid) -> None:
             raise _UsageError(f"curve tag {tag!r} is given twice")
 
 
+#: Each ``curves`` option that one mode reads: that mode and its default.
+_CURVES_OPTIONS = {"grid": ("table", "-4:4:161"), "beta": ("table", 1.0),
+                   "tol": ("table", 1e-10), "min_count": ("residual", 10)}
+
+
 def _cmd_curves(args) -> int:
-    check_tol(args.tol)
-    if args.residual is not None:
+    mode = "table" if args.residual is None else "residual"
+    for name, (owner, default) in _CURVES_OPTIONS.items():
+        if owner != mode and getattr(args, name) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} applies to {owner} mode only")
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    if mode == "residual":
         return _cmd_curves_residual(args)
+    check_tol(args.tol)
     tags = [t.strip() for t in args.tags.split(",")] if args.tags else []
     if not tags:
         tags = list(TAGS) + ["jacobian"]
@@ -560,7 +568,7 @@ def _add_output_args(p):
 
 def _add_sequence_args(p):
     p.add_argument(
-        "--engine", choices=("prng", "lds"), default="prng",
+        "--engine", choices=_ENGINE_NAMES, default="prng",
         help="pseudorandom (Philox) or low-discrepancy (scrambled Sobol)",
     )
     p.add_argument("--seed", type=int, default=0, help="stream seed")
@@ -592,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="sample the separable fraction")
     p.add_argument(
-        "--target", choices=("sep", "abs_sep"), default="sep",
+        "--target", choices=TARGETS, default="sep",
         help="separable or absolutely separable fraction",
     )
     p.add_argument("--n", type=int, required=True, help="total sample budget")
@@ -617,24 +625,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--tags", default="",
         help="comma-separated curve tags (default: all closed forms + jacobian)",
     )
-    p.add_argument("--grid", default="-4:4:161", help="xi grid as min:max:count")
+    p.add_argument("--grid", help="xi grid as min:max:count (table mode; "
+                   f"default {_CURVES_OPTIONS['grid'][1]})")
     p.add_argument(
-        "--beta", type=float, default=1.0,
-        help="ensemble parameter for the jacobian column",
+        "--beta", type=float, help="ensemble parameter for the jacobian column "
+        f"(table mode; default {_CURVES_OPTIONS['beta'][1]})",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="absolute tolerance of the --beta density quadrature (tail values "
-        "far below it carry no relative accuracy)",
+        "--tol", type=float,
+        help="absolute tolerance of the --beta density quadrature (table "
+        f"mode; default {_CURVES_OPTIONS['tol'][1]}; tail values far below "
+        "it carry no relative accuracy)",
     )
     p.add_argument(
         "--residual", default=None, metavar="HIST",
-        help="compare the single --tags curve against a stored desf histogram "
-        "(CSV or JSON)",
+        help="residual mode: compare the single --tags curve against a "
+        "stored desf histogram (CSV or JSON)",
     )
     p.add_argument(
-        "--min-count", type=int, default=10,
-        help="minimum per-bin positives for a residual z-score",
+        "--min-count", type=int, help="minimum per-bin positives for a residual "
+        f"z-score (residual mode; default {_CURVES_OPTIONS['min_count'][1]})",
     )
     _add_output_args(p)
     p.set_defaults(func=_cmd_curves)

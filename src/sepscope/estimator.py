@@ -15,13 +15,14 @@ coordinates -> positivity mask -> the survivors' stick coordinates mapped
 to their diagonal, when the point has sticks.  Positivity never depends on
 the diagonal, so only the survivors are mapped, about 18% of the stream;
 the map is row-wise, so masking first changes no tally.  Each estimator is
-then a ``tally(diag, z)`` of that batch's positive states: the separable
-and absolutely separable counts, the DESF histogram, the minor counts at
-each exact xi (6-d points, which carry no sticks).  ``_estimate`` adds the
-positives and the tallies of each replicate in plan order, and refuses a
-replicate with no positive state.  ``_run_batches`` maps a batch over its
-``(spec, offset, size)`` tasks and returns the results in task order;
-``verify`` runs the stage through it to draw its sample of states.
+then a ``tally(diag, z)`` of that batch's positive states: the count
+passing a sampled target's test (``TARGETS``), the DESF histogram, the
+minor counts at each exact xi (6-d points, which carry no sticks).
+``_estimate`` adds the positives and the tallies of each replicate in plan
+order, and refuses a replicate with no positive state.  ``_run_batches``
+maps a batch over its ``(spec, offset, size)`` tasks and returns the
+results in task order; ``verify`` runs the stage through it to draw its
+sample of states.
 
 Because batch boundaries are fixed by ``n`` alone and integer sums do not
 depend on execution order, results are byte-identical no matter how many
@@ -59,8 +60,8 @@ __all__ = [
     "EstimateResult",
     "DesfHistogram",
     "MinorGridEstimate",
-    "estimate_sep_probability",
-    "estimate_abs_sep_probability",
+    "TARGETS",
+    "estimate_probability",
     "estimate_desf",
     "estimate_minor_desf",
     "CurveComparison",
@@ -192,15 +193,6 @@ def _estimate(spec, n, dimension, tally, workers, replicates=1):
     return per_rep, n_per * replicates
 
 
-def _default_replicates(spec: SequenceSpec) -> int:
-    # Scrambled nets have no per-point error theory; independent
-    # re-scramblings supply the spread.  A single pseudorandom or
-    # unscrambled stream gets the binomial error instead.
-    if spec.engine == "low_discrepancy" and spec.scramble:
-        return 8
-    return 1
-
-
 def _pt_separable(diag, z):
     """xi of each state, and whether its partial transpose has a non-negative
     determinant (for two qubits, exactly separability)."""
@@ -208,43 +200,38 @@ def _pt_separable(diag, z):
     return xi, pt_corr_det4(z, xi) >= 0.0
 
 
-def _conditional_estimate(spec, n, workers, replicates, test) -> EstimateResult:
-    """P(test | positive), each batch tallying the states that pass."""
+#: A sampled target is its name: each maps to its test of a batch of
+#: positive states, ``test(diag, z)``, a boolean mask of those that pass.
+TARGETS = {
+    # separable: the partial transpose has a non-negative determinant,
+    # evaluated on correlation coordinates, so no eigensolve is needed
+    "sep": lambda diag, z: _pt_separable(diag, z)[1],
+    # absolutely separable (separable in every global basis): the spectral
+    # criterion l1 - l3 - 2 sqrt(l2 l4) <= 0, one eigensolve per state
+    "abs_sep": lambda diag, z: abs_separable_mask(assemble_states(diag, z)),
+}
+
+
+def estimate_probability(target: str, spec: SequenceSpec, n: int, *, workers: int = 1,
+                         replicates: int = None) -> EstimateResult:
+    """P(target | positive) under the Hilbert-Schmidt measure, for a
+    ``target`` named in :data:`TARGETS`.
+
+    ``n`` is the total cube-point budget, split evenly when replicates are
+    pooled.  By default a scrambled low-discrepancy stream pools 8
+    replicates, since scrambled nets have no per-point error theory and
+    independent re-scramblings supply the spread; any other stream reads
+    one and gets the binomial error.
+    """
+    if target not in TARGETS:
+        raise ValueError(f"unknown target {target!r}; valid targets: {', '.join(TARGETS)}")
+    test = TARGETS[target]
     if replicates is None:
-        replicates = _default_replicates(spec)
+        replicates = 8 if spec.engine == "low_discrepancy" and spec.scramble else 1
     per_rep, n_total = _estimate(
         spec, n, 9, lambda diag, z: (int(test(diag, z).sum()),), workers, replicates
     )
     return _estimate_result(per_rep, n_total)
-
-
-def estimate_sep_probability(
-    spec: SequenceSpec, n: int, *, workers: int = 1, replicates: int = None
-) -> EstimateResult:
-    """P(separable | positive) under the Hilbert-Schmidt measure.
-
-    For two qubits separability is exactly "the partial transpose has
-    non-negative determinant", evaluated here on correlation coordinates so
-    no eigensolve is needed.  ``n`` is the total cube-point budget, split
-    evenly when replicates are pooled.
-    """
-    return _conditional_estimate(
-        spec, n, workers, replicates, lambda diag, z: _pt_separable(diag, z)[1]
-    )
-
-
-def estimate_abs_sep_probability(
-    spec: SequenceSpec, n: int, *, workers: int = 1, replicates: int = None
-) -> EstimateResult:
-    """P(absolutely separable | positive): separable in every global basis.
-
-    Uses the spectral criterion l1 - l3 - 2 sqrt(l2 l4) <= 0 on the ordered
-    eigenvalues, so each positive sample costs one symmetric eigensolve.
-    """
-    return _conditional_estimate(
-        spec, n, workers, replicates,
-        lambda diag, z: abs_separable_mask(assemble_states(diag, z)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class SequenceSpec:
             raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not 1 <= self.dimension <= 21201:  # scipy's Sobol limit, kept for Philox
+        if not 1 <= self.dimension <= 21201:  # only a cap: the full Joe-Kuo set
             raise ValueError(f"dimension out of range: {self.dimension}")
         if self.engine == "low_discrepancy" and self.dimension > len(_SOBOL_TABLE):
             raise ValueError(

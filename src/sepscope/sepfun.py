@@ -212,21 +212,20 @@ def _series_coefficients():
     J series divides N/x^9 by (sinh x / x)^9 term-by-term in rational
     arithmetic, then folds in the 64/(27 pi^2) prefactor.
     """
-    n_terms = 22
-    num = _numerator_coeffs(4 + n_terms - 1)  # coefficients of x^(2k) after /x^9
+    num = _numerator_coeffs(25)  # the 22 coefficients of x^(2k) after /x^9
 
-    sinh_over_x = [Fraction(1, math.factorial(2 * k + 1)) for k in range(n_terms + 1)]
-    pw = [Fraction(1)] + [Fraction(0)] * n_terms  # (sinh x/x)^9, truncated products
+    n_j = 14  # terms of the J series, and so of (sinh x / x)^9 it divides by
+    sinh_over_x = [Fraction(1, math.factorial(2 * k + 1)) for k in range(n_j)]
+    pw = [Fraction(1)] + [Fraction(0)] * (n_j - 1)  # (sinh x/x)^9, truncated
     for _ in range(9):
-        nxt = [Fraction(0)] * (n_terms + 1)
+        nxt = [Fraction(0)] * n_j
         for i, a in enumerate(pw):
             if a == 0:
                 continue
-            for j in range(n_terms + 1 - i):
+            for j in range(n_j - i):
                 nxt[i + j] += a * sinh_over_x[j]
         pw = nxt
 
-    n_j = 14
     quot = []
     for k in range(n_j):
         acc = num[k]

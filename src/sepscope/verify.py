@@ -391,10 +391,10 @@ def _xi_histogram(workers, seed, n, z_max):
 # ---------------------------------------------------------------------------
 
 
-def _fraction(workers, estimate, seed, n, ref=None, z_max=None, window=None):
-    """A sampled fraction, held within ``z_max`` standard errors of ``ref``
-    or inside the open interval ``window``."""
-    res = estimate(_prng(seed), n, workers=workers)
+def _fraction(workers, target, seed, n, ref=None, z_max=None, window=None):
+    """The sampled fraction of ``target``, held within ``z_max`` standard
+    errors of ``ref`` or inside the open interval ``window``."""
+    res = estimator.estimate_probability(target, _prng(seed), n, workers=workers)
     if window is not None:
         lo, hi = window
         return lo < res.mean < hi, (
@@ -408,7 +408,7 @@ def _fraction(workers, estimate, seed, n, ref=None, z_max=None, window=None):
 def _histogram_sum_identity(workers, seed, n):
     spec = _prng(seed)
     hist = estimator.estimate_desf(spec, n, bins=41, workers=workers)
-    direct = estimator.estimate_sep_probability(spec, n, workers=workers)
+    direct = estimator.estimate_probability("sep", spec, n, workers=workers)
     lhs = (hist.n_sep.sum() + hist.n_sep_outside) / (
         hist.n_psd.sum() + hist.n_psd_outside
     )
@@ -419,7 +419,7 @@ def _histogram_sum_identity(workers, seed, n):
 def _curve_reconstruction(workers, seed, n):
     spec = _prng(seed)
     hist = estimator.estimate_desf(spec, n, bins=81, ximax=6.0, workers=workers)
-    direct = estimator.estimate_sep_probability(spec, n, workers=workers)
+    direct = estimator.estimate_probability("sep", spec, n, workers=workers)
     via_curve = quadrature.integrate_real_line(
         lambda x: hist.ratio_at(x) * sepfun.jacobian_xi(x), 1e-9,
         breakpoints=hist.bin_edges,
@@ -433,15 +433,15 @@ def _curve_reconstruction(workers, seed, n):
 
 
 def _stderr_scaling(workers, seed, n, bound):
-    small = estimator.estimate_sep_probability(_prng(seed), n, workers=workers)
-    large = estimator.estimate_sep_probability(_prng(seed), 4 * n, workers=workers)
+    small = estimator.estimate_probability("sep", _prng(seed), n, workers=workers)
+    large = estimator.estimate_probability("sep", _prng(seed), 4 * n, workers=workers)
     ratio = large.stderr / small.stderr
     return ratio <= bound, f"stderr(4n)/stderr(n) = {ratio:.3f} (want <= {bound})"
 
 
 def _worker_invariance(workers, seed, n):
     runs = [
-        estimator.estimate_sep_probability(_prng(seed), n, workers=w)
+        estimator.estimate_probability("sep", _prng(seed), n, workers=w)
         for w in (1, 2, 4)
     ]
     same = all(
@@ -452,8 +452,8 @@ def _worker_invariance(workers, seed, n):
 
 
 def _lds_vs_prng(workers, seed, n):
-    lds = estimator.estimate_sep_probability(_lds(seed), n, replicates=8, workers=1)
-    prng = estimator.estimate_sep_probability(_prng(seed), n, replicates=8, workers=1)
+    lds = estimator.estimate_probability("sep", _lds(seed), n, replicates=8, workers=1)
+    prng = estimator.estimate_probability("sep", _prng(seed), n, replicates=8, workers=1)
     ok = lds.stderr < prng.stderr
     return ok, (
         f"replicate spread {lds.stderr:.2e} (lds) vs {prng.stderr:.2e} (prng)"
@@ -545,8 +545,6 @@ def _desf_intercept(workers, seed, n, bins, z_max, observed_sigma=False):
 # The registry
 # ---------------------------------------------------------------------------
 
-_SEP = estimator.estimate_sep_probability
-_ABS = estimator.estimate_abs_sep_probability
 # the six informative minors on their own streams, at two budgets
 _PAIRED_MINORS = dict(
     minors={"delete:1": 9110, "delete:2": 9111, "delete:3": 9112,
@@ -589,26 +587,26 @@ CHECKS = [
           dict(seed=304, n=4_000_000, z_max=4.0)),
     # estimator layer
     Check("separable-fraction-smoke", "quick", _fraction,
-          dict(estimate=_SEP, seed=404, n=200_000,
+          dict(target="sep", seed=404, n=200_000,
                ref=REFERENCES["sep_probability"], z_max=5.0)),
     Check("separable-fraction-window", "quick", _fraction,
-          dict(estimate=_SEP, seed=9104, n=1_000_000, window=(0.4455, 0.4605))),
+          dict(target="sep", seed=9104, n=1_000_000, window=(0.4455, 0.4605))),
     Check("separable-fraction-window-large", "full", _fraction,
-          dict(estimate=_SEP, seed=9104, n=10_000_000, window=(0.4455, 0.4605))),
+          dict(target="sep", seed=9104, n=10_000_000, window=(0.4455, 0.4605))),
     Check("separable-fraction", "full", _fraction,
-          dict(estimate=_SEP, seed=1404, n=10_000_000,
+          dict(target="sep", seed=1404, n=10_000_000,
                ref=REFERENCES["sep_probability"], z_max=3.0)),
     Check("absolutely-separable-fraction-smoke", "quick", _fraction,
-          dict(estimate=_ABS, seed=505, n=200_000,
+          dict(target="abs_sep", seed=505, n=200_000,
                ref=REFERENCES["abs_sep_probability"], z_max=5.0)),
     Check("absolutely-separable-fraction-1e6", "quick", _fraction,
-          dict(estimate=_ABS, seed=9105, n=1_000_000,
+          dict(target="abs_sep", seed=9105, n=1_000_000,
                ref=REFERENCES["abs_sep_probability"], z_max=5.0)),
     Check("absolutely-separable-fraction-1e7", "full", _fraction,
-          dict(estimate=_ABS, seed=9105, n=10_000_000,
+          dict(target="abs_sep", seed=9105, n=10_000_000,
                ref=REFERENCES["abs_sep_probability"], z_max=5.0)),
     Check("absolutely-separable-fraction", "full", _fraction,
-          dict(estimate=_ABS, seed=1505, n=10_000_000,
+          dict(target="abs_sep", seed=1505, n=10_000_000,
                ref=REFERENCES["abs_sep_probability"], z_max=3.0)),
     Check("histogram-sum-identity", "quick", _histogram_sum_identity,
           dict(seed=606, n=200_000)),

@@ -19,7 +19,7 @@ import sepscope.sepfun as sepfun
 import sepscope.verify as verify
 from sepscope.cli import _load_desf, main
 from sepscope.errors import QuadratureError
-from sepscope.estimator import estimate_desf, estimate_sep_probability
+from sepscope.estimator import estimate_desf, estimate_probability
 from sepscope.quadrature import QuadratureResult
 from sepscope.sampling import SequenceSpec
 from sepscope.sepfun import eval_desf_array, jacobian_xi
@@ -168,7 +168,7 @@ def test_estimate_defaults_to_json_and_matches_library(tmp_path, capsys):
     spec = SequenceSpec("pseudo_random", 5, dimension=9)
     assert manifest["sequence"] == spec.to_dict()
     assert "workers" not in manifest["parameters"]
-    res = estimate_sep_probability(spec, 50_000)
+    res = estimate_probability("sep", spec, 50_000)
     assert data["target"] == "sep"
     assert data["mean"] == res.mean
     assert data["stderr"] == res.stderr
@@ -732,7 +732,7 @@ def test_os_errors_exit_3(tmp_path, capsys, monkeypatch, argv):
 
     monkeypatch.setattr(verify, "run_checks", never)
     monkeypatch.setattr(cli, "estimate_desf", never)
-    monkeypatch.setattr(cli, "estimate_sep_probability", never)
+    monkeypatch.setattr(cli, "estimate_probability", never)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 3
     err = capsys.readouterr().err
     assert err.startswith("sepscope: error: ") and "No such file" in err
@@ -750,7 +750,7 @@ def test_bounds_bad_tol_exits_3(capsys, tol):
 @pytest.mark.parametrize("tags", [["dom"], ["jacobian", "--beta", "2"]],
                          ids=["closed-form", "beta2"])
 def test_curves_bad_tol_exits_3(capsys, tags, tol):
-    """``curves`` checks ``--tol`` on every call, not only when a ``--beta``
+    """``curves`` checks ``--tol`` on every table, not only when a ``--beta``
     column uses it, so no manifest ever records a NaN tolerance."""
     argv = ["curves", "--grid", "0:1:2", "--tags", *tags, f"--tol={tol}",
             "--format", "json"]
@@ -773,6 +773,27 @@ def test_curves_bad_beta_exits_3(capsys, beta, message):
                  f"--beta={beta}"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("sepscope: error: ") and message in err
+
+
+@pytest.mark.parametrize("option, residual", [
+    ("--grid=9:1:0", True),
+    ("--beta=77", True),
+    ("--tol=1e-6", True),
+    ("--min-count=0", False),
+], ids=["grid", "beta", "tol", "min-count"])
+def test_curves_refuses_the_other_modes_options(tmp_path, capsys, option, residual):
+    """An option that only the other ``curves`` mode reads is a usage error
+    naming it, not silently dropped from the run and its manifest."""
+    argv = ["curves", "--tags", "conjecture", option]
+    if residual:
+        hist_path = tmp_path / "hist.csv"
+        assert main(["desf", "--n", "20000", "--bins", "11", "--out", str(hist_path)]) == 0
+        argv += ["--residual", str(hist_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sepscope: error: {option.partition('=')[0]} applies to ")
 
 
 def test_unscrambled_replicates_exit_3(capsys):

@@ -10,11 +10,11 @@ import sepscope.estimator as estimator
 from sepscope.errors import InsufficientSamplesError
 from sepscope.estimator import (
     DesfHistogram,
+    TARGETS,
     compare_curves,
-    estimate_abs_sep_probability,
     estimate_desf,
     estimate_minor_desf,
-    estimate_sep_probability,
+    estimate_probability,
 )
 from sepscope.qstate import assemble_states, corr_minor, pt_correlations, z_psd_mask
 from sepscope.quadrature import integrate_real_line
@@ -61,7 +61,7 @@ def test_driver_requires_conditioning_samples(monkeypatch):
     monkeypatch.setattr(estimator, "z_psd_mask", second_call_empty)
     # one batch per replicate, run in order on one worker: replicate 1 is empty
     with pytest.raises(InsufficientSamplesError, match="a replicate"):
-        estimate_sep_probability(_prng(5), 3000, replicates=3)
+        estimate_probability("sep", _prng(5), 3000, replicates=3)
     assert calls == [1000, 1000, 1000]
     monkeypatch.setattr(estimator, "z_psd_mask", lambda z: np.zeros(len(z), dtype=bool))
     with pytest.raises(InsufficientSamplesError):
@@ -95,20 +95,22 @@ def test_run_batches_returns_tallies_in_task_order():
 
 def test_estimator_input_validation():
     with pytest.raises(ValueError):
-        estimate_sep_probability(_prng(0), 0)
+        estimate_probability("sep", _prng(0), 0)
     with pytest.raises(ValueError):
-        estimate_sep_probability(_prng(0, dimension=6), 1000)
+        estimate_probability("sep", _prng(0, dimension=6), 1000)
     with pytest.raises(ValueError):
-        estimate_sep_probability(_prng(0), 1000, replicates=0)
+        estimate_probability("sep", _prng(0), 1000, replicates=0)
     with pytest.raises(ValueError):
-        estimate_sep_probability(_prng(0), 4, replicates=8)  # n too small
+        estimate_probability("sep", _prng(0), 4, replicates=8)  # n too small
     with pytest.raises(ValueError):
-        estimate_sep_probability(_prng(0), 1000, workers=0)
+        estimate_probability("sep", _prng(0), 1000, workers=0)
+    with pytest.raises(ValueError, match="unknown target 'nope'; valid targets: sep,"):
+        estimate_probability("nope", _prng(0), 1000)
 
 
 def test_reruns_are_bit_identical():
-    a = estimate_sep_probability(_prng(61), 50_000)
-    b = estimate_sep_probability(_prng(61), 50_000)
+    a = estimate_probability("sep", _prng(61), 50_000)
+    b = estimate_probability("sep", _prng(61), 50_000)
     assert a == b
 
 
@@ -116,16 +118,16 @@ def test_worker_count_never_changes_tallies(monkeypatch):
     # shrink the batch size so a small n spans many batches
     monkeypatch.setattr(estimator, "BATCH_SIZE", 4096)
     runs = [
-        estimate_sep_probability(_prng(62), 20_000, workers=w) for w in (1, 2, 4)
+        estimate_probability("sep", _prng(62), 20_000, workers=w) for w in (1, 2, 4)
     ]
     assert runs[0] == runs[1] == runs[2]
 
 
 def test_batch_size_never_changes_tallies(monkeypatch):
     # skippability means the partition into batches is invisible
-    big = estimate_sep_probability(_prng(63), 20_000)
+    big = estimate_probability("sep", _prng(63), 20_000)
     monkeypatch.setattr(estimator, "BATCH_SIZE", 1 << 12)
-    small = estimate_sep_probability(_prng(63), 20_000, workers=3)
+    small = estimate_probability("sep", _prng(63), 20_000, workers=3)
     assert big == small
 
 
@@ -136,7 +138,8 @@ def _fields(result):
 
 
 _PARTITIONED_RUNS = {
-    "abs-sep": lambda w: _fields(estimate_abs_sep_probability(_prng(66), 20_000, workers=w)),
+    "abs-sep": lambda w: _fields(
+        estimate_probability("abs_sep", _prng(66), 20_000, workers=w)),
     "desf-prng": lambda w: _fields(estimate_desf(_prng(67), 20_000, bins=15, workers=w)),
     "desf-lds": lambda w: _fields(estimate_desf(_lds(67), 20_000, bins=15, workers=w)),
     "minor": lambda w: _fields(estimate_minor_desf(
@@ -166,7 +169,7 @@ def test_all_separable_when_constraint_is_disabled(monkeypatch):
     monkeypatch.setattr(
         estimator, "pt_corr_det4", lambda z, xi: np.ones(len(z))
     )
-    res = estimate_sep_probability(_prng(64), 30_000)
+    res = estimate_probability("sep", _prng(64), 30_000)
     assert res.mean == 1.0
     assert res.n_effective > 0
 
@@ -213,7 +216,7 @@ def test_only_positive_points_are_mapped(monkeypatch):
     assert len(mapped) == 5  # one map call per batch
     assert sum(mapped) == hist.n_psd.sum() + hist.n_psd_outside
     mapped.clear()
-    res = estimate_sep_probability(_prng(31), 20_000, workers=2)
+    res = estimate_probability("sep", _prng(31), 20_000, workers=2)
     assert len(mapped) == 5
     assert sum(mapped) == res.n_effective
 
@@ -228,15 +231,15 @@ def test_tallies_are_pinned(monkeypatch):
     literals catch any restructure that changes what is counted."""
     monkeypatch.setattr(estimator, "BATCH_SIZE", 4096)
     prng, lds = _prng(2718), _lds(2718)
-    assert _tally(estimate_sep_probability(prng, 10_000, workers=2)) == (1808, 797)
-    assert _tally(estimate_abs_sep_probability(prng, 10_000, workers=2)) == (1808, 62)
+    assert _tally(estimate_probability("sep", prng, 10_000, workers=2)) == (1808, 797)
+    assert _tally(estimate_probability("abs_sep", prng, 10_000, workers=2)) == (1808, 62)
 
     reps = [(907, 428), (943, 418), (913, 416), (917, 411),
             (933, 404), (922, 417), (898, 421), (931, 428)]
     for r, want in enumerate(reps):
-        one = estimate_sep_probability(lds.spawn(r), 5000, replicates=1)
+        one = estimate_probability("sep", lds.spawn(r), 5000, replicates=1)
         assert _tally(one) == want, f"replicate {r}"
-    pooled = estimate_sep_probability(lds, 40_000, workers=2)
+    pooled = estimate_probability("sep", lds, 40_000, workers=2)
     assert pooled.replicate_means == tuple(h / e for e, h in reps)
     assert pooled.n_effective == sum(e for e, _ in reps)
 
@@ -260,20 +263,20 @@ def test_tallies_are_pinned(monkeypatch):
 
 
 def test_absolute_separability_is_rarer():
-    sep = estimate_sep_probability(_prng(65), 60_000)
-    ab = estimate_abs_sep_probability(_prng(65), 60_000)
+    sep = estimate_probability("sep", _prng(65), 60_000)
+    ab = estimate_probability("abs_sep", _prng(65), 60_000)
     assert ab.n_effective == sep.n_effective  # same conditioning stream
     assert ab.mean < sep.mean
 
 
 def test_stderr_shrinks_with_sample_size():
-    small = estimate_sep_probability(_prng(66), 50_000)
-    large = estimate_sep_probability(_prng(66), 200_000)
+    small = estimate_probability("sep", _prng(66), 50_000)
+    large = estimate_probability("sep", _prng(66), 200_000)
     assert large.stderr <= 0.6 * small.stderr
 
 
 def test_replicate_pooling():
-    res = estimate_sep_probability(_prng(67), 60_000, replicates=3)
+    res = estimate_probability("sep", _prng(67), 60_000, replicates=3)
     means = np.asarray(res.replicate_means)
     assert means.shape == (3,)
     assert res.mean == pytest.approx(means.mean(), abs=1e-15)
@@ -282,24 +285,23 @@ def test_replicate_pooling():
 
 
 def test_low_discrepancy_defaults_to_replicates():
-    res = estimate_sep_probability(_lds(68), 40_000)
+    res = estimate_probability("sep", _lds(68), 40_000)
     assert res.replicate_means is not None and len(res.replicate_means) == 8
     # an unscrambled net has no scrambling to replicate over
-    res1 = estimate_sep_probability(
-        SequenceSpec("low_discrepancy", 68, scramble=False), 40_000
+    res1 = estimate_probability(
+        "sep", SequenceSpec("low_discrepancy", 68, scramble=False), 40_000
     )
     assert res1.replicate_means is None
 
 
-@pytest.mark.parametrize("estimate", [estimate_sep_probability,
-                                      estimate_abs_sep_probability])
-def test_unscrambled_net_refuses_replicates(estimate):
+@pytest.mark.parametrize("target", TARGETS)
+def test_unscrambled_net_refuses_replicates(target):
     """``spawn`` changes only the seed, which an unscrambled net ignores, so
     its replicates would be one stream pooled with itself (stderr 0)."""
     spec = SequenceSpec("low_discrepancy", 68, scramble=False)
     with pytest.raises(ValueError, match="unscrambled"):
-        estimate(spec, 4096, replicates=4)
-    assert estimate(spec, 4096, replicates=1).replicate_means is None
+        estimate_probability(target, spec, 4096, replicates=4)
+    assert estimate_probability(target, spec, 4096, replicates=1).replicate_means is None
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ def test_histogram_counts_add_up():
     spec = _prng(71)
     n = 150_000
     hist = estimate_desf(spec, n, bins=41)
-    direct = estimate_sep_probability(spec, n)
+    direct = estimate_probability("sep", spec, n)
     n_psd = hist.n_psd.sum() + hist.n_psd_outside
     n_sep = hist.n_sep.sum() + hist.n_sep_outside
     assert n_psd == direct.n_effective
@@ -397,7 +399,7 @@ def test_histogram_curve_integral_matches_direct_estimate():
     spec = _prng(73)
     n = 200_000
     hist = estimate_desf(spec, n, bins=61, ximax=6.0)
-    direct = estimate_sep_probability(spec, n)
+    direct = estimate_probability("sep", spec, n)
     via = integrate_real_line(
         lambda x: hist.ratio_at(x) * jacobian_xi(x), 1e-9, breakpoints=hist.bin_edges
     )
@@ -518,7 +520,7 @@ def test_estimate_minor_desf_nothing_survives(monkeypatch):
     runs = (
         lambda: estimate_minor_desf(_prng(0, dimension=6), 100, (1, 2, 3), [0.0]),
         lambda: estimate_desf(_prng(0), 100, bins=5),
-        lambda: estimate_sep_probability(_prng(0), 100),
+        lambda: estimate_probability("sep", _prng(0), 100),
     )
     for run in runs:
         with pytest.raises(InsufficientSamplesError, match="increase n"):
