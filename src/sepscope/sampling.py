@@ -34,13 +34,18 @@ the positive-semidefinite body.  The estimators' one batch stage
 (positivity depends on it alone) and passes only the survivors' sticks
 (about 18% of the stream) to :func:`cube_to_bloore_batch`, which returns
 their diagonal and nothing else.
-That map is the only user of ``scipy.special`` (``betaincinv``) and imports
-it on its first call, so the quadrature commands load no scipy module.
+The map's Beta(5/2, 15/2), Beta(5/2, 5) and Beta(5/2, 5/2) quantiles are
+numpy too (``_beta_quantile``: closed-form CDFs, a positive-term series in
+the tails, Newton steps from a table), within ``_QUANTILE_ULP`` units in the
+last place of the true quantile.  So no sampling command loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +65,19 @@ _STICK_PARAMS = ((2.5, 7.5), (2.5, 5.0), (2.5, 2.5))
 # Quantile arguments are clipped away from {0, 1} so degenerate diagonals
 # (which have undefined xi) cannot arise from a point on the cube boundary.
 _U_CLIP = 1e-12
+
+# The stick quantiles' error bound, in units in the last place of the true
+# quantile, over [_U_CLIP, 1 - _U_CLIP]; tests/test_sampling.py holds them to
+# it against mpmath (at most 5.5 seen there).
+_QUANTILE_ULP = 16
+# Below this CDF value a quantile solve reads the positive-term series, not
+# the closed form, which cancels there.
+_SERIES_BELOW = 0.25
+# Quantile table nodes per Beta law, evenly spaced in log CDF.
+_TABLE_NODES = 2048
+# Newton steps from the table's guess, which is within about 1e-5 relative:
+# the second step reaches the rounding of the CDF itself.
+_NEWTON_STEPS = 2
 
 # Corners of the star-discrepancy grid tested per vectorized pass.
 _CORNER_CHUNK = 8192
@@ -204,6 +222,11 @@ def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
     ``gray(a + i) = gray(a) ^ gray(i)`` for ``a`` a multiple of a power of two
     above ``i``, each block doubles from its first row:
     ``x[h:2h] = x[h-1::-1] ^ v_j`` for ``h = 2**j``.
+
+    Each 30-bit integer q is filled as the float64 bit pattern
+    ``0x3FF << 52 | q << 22``, which is the double 1 + q * 2**-30: the
+    exponent bits ride on the shift, and the XORs leave them alone.  One
+    subtraction of 1.0, exact, then gives q * 2**-30.
     """
     if offset + n > 1 << _SOBOL_BITS:
         raise ValueError(
@@ -211,7 +234,10 @@ def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
             f"{offset + n - 1} run past it"
         )
     shift, v = _sobol_directions(spec)
-    q = np.empty((n, spec.dimension), dtype=np.uint32)
+    mantissa_pad = np.uint64(52 - _SOBOL_BITS)
+    shift = np.uint64(0x3FF << 52) | shift.astype(np.uint64) << mantissa_pad
+    v = v.astype(np.uint64) << mantissa_pad
+    q = np.empty((n, spec.dimension), dtype=np.uint64)
     start, end = offset, offset + n
     while start < end:
         size = 1 << ((end - start).bit_length() - 1)
@@ -225,7 +251,9 @@ def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
             h = 1 << j
             np.bitwise_xor(block[h - 1::-1], v[:, j], out=block[h:2 * h])
         start += size
-    return q * 2.0 ** -_SOBOL_BITS
+    pts = q.view(np.float64)
+    pts -= 1.0
+    return pts
 
 
 def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:
@@ -235,15 +263,13 @@ def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:
     The benchmark (``perfbench/child.py``) wraps this function by its name,
     called once per batch through the ``estimator`` namespace.
     """
-    from scipy.special import betaincinv  # ~0.3 s to import; only the map needs it
-
     pts = np.asarray(sticks, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
     u = np.clip(pts, _U_CLIP, 1.0 - _U_CLIP)
     b = np.empty_like(u)
     for j, (a_p, b_p) in enumerate(_STICK_PARAMS):
-        b[:, j] = betaincinv(a_p, b_p, u[:, j])
+        b[:, j] = _beta_quantile(a_p, b_p, u[:, j])
     diag = np.empty((pts.shape[0], 4))
     diag[:, 0] = b[:, 0]
     rest = 1.0 - b[:, 0]
@@ -252,6 +278,161 @@ def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:
     diag[:, 2] = rest * b[:, 2]
     diag[:, 3] = rest * (1.0 - b[:, 2])
     return diag
+
+
+def _beta_quantile(a: float, b: float, u: np.ndarray) -> np.ndarray:
+    """The Beta(a, b) quantile of each ``u`` in ``[_U_CLIP, 1 - _U_CLIP]``,
+    for ``2a`` and ``2b`` positive integers.
+
+    For ``u <= 1/2`` it solves I_x(a, b) = u.  Above, it solves the
+    complement I_y(b, a) = 1 - u, which is exact for ``u >= 1/2``, and
+    returns ``x = 1 - y``: the complement keeps its relative precision
+    where x is near 1.  Against the true quantile (mpmath at 40 digits) the
+    result is within ``_QUANTILE_ULP`` units in the last place for the
+    three laws of ``_STICK_PARAMS`` over the whole clipped range.
+    """
+    out = np.empty_like(u)
+    upper = np.flatnonzero(u > 0.5)
+    lower = np.flatnonzero(u <= 0.5)
+    out[lower] = _lower_tail(a, b).solve(u[lower])
+    out[upper] = 1.0 - _lower_tail(b, a).solve(1.0 - u[upper])
+    return out
+
+
+@cache
+def _lower_tail(p: float, q: float) -> "_LowerTail":
+    return _LowerTail(p, q)
+
+
+class _LowerTail:
+    """Solves I_w(p, q) = v for ``v`` in ``[_U_CLIP, 1/2]``, with ``2p`` and
+    ``2q`` positive integers; built once per process for each (p, q).
+
+    The CDF I has a closed form.  With ``w = sin(t)**2``, it is ``2t/pi``
+    plus ``sqrt(w (1 - w))`` times polynomials when p and q are both
+    half-integers, ``w**p`` times a polynomial in ``1 - w`` when q is an
+    integer, and one minus ``(1 - w)**q`` times a polynomial in w when p is
+    an integer.  The closed form cancels where I is small, so below
+    ``_SERIES_BELOW`` the solver reads the positive-term series
+    ``I = w**p (1 - w)**q / (p B(p, q)) * sum_n (p+q)_n / (p+1)_n w**n``
+    instead, cut where its tail is below 2**-60 of the sum.
+
+    Each solve starts from a table of the quantile at ``_TABLE_NODES``
+    targets evenly spaced in ``log v`` (linear in ``log w`` between nodes,
+    within about 1e-5 relative), and takes ``_NEWTON_STEPS`` Newton steps,
+    each kept inside the two nodes that bracket the root.
+    """
+
+    def __init__(self, p: float, q: float):
+        self.p, self.q = p, q
+        p2, q2 = round(2 * p), round(2 * q)  # Gamma arguments are doubled
+        self.inv_beta = _gamma_ratio((p2 + q2,), (p2, q2))
+        if q2 % 2 == 0:  # I = w**p sum_j (p)_j / j! (1 - w)**j
+            self.kind = "q_int"
+            self.poly = [_gamma_ratio((p2 + 2 * j,), (p2, 2 * j + 2))
+                         for j in range(q2 // 2)]
+        elif p2 % 2 == 0:  # I = 1 - (1 - w)**q sum_i (q)_i / i! w**i
+            self.kind = "p_int"
+            self.poly = [_gamma_ratio((q2 + 2 * i,), (q2, 2 * i + 2))
+                         for i in range(p2 // 2)]
+        else:
+            # Raise q from 1/2, then p from 1/2, starting at
+            # I_w(1/2, 1/2) = 2t/pi: each step adds or subtracts a term
+            # w**p' (1 - w)**q' Gamma(p'+q') / (Gamma(p') Gamma(q'+1)) or
+            # / (Gamma(p'+1) Gamma(q')).  Divided by 2/pi, that is
+            # I = (2/pi) (t + sqrt(w (1 - w)) (sum_j A_j (1 - w)**j
+            #                                  - (1 - w)**(q - 1/2) sum_i B_i w**i)).
+            self.kind = "half"
+            half_pi = math.pi / 2
+            self.poly = [_gamma_ratio((2 + 2 * j,), (1, 3 + 2 * j)) * half_pi
+                         for j in range((q2 - 1) // 2)]
+            self.minus = [_gamma_ratio((1 + 2 * i + q2,), (3 + 2 * i, q2)) * half_pi
+                          for i in range((p2 - 1) // 2)]
+        # The series' n-th coefficient is Gamma(p+q+n) / (Gamma(p+1+n) Gamma(q)).
+        # Cut it where a term is below 2**-60 of the first at 1.1 times the
+        # largest w it serves, read off a grid of the closed form.
+        w = np.exp(np.linspace(math.log(1e-9), math.log(0.999), 4096))
+        closed = self._closed(w)
+        w_max = 1.1 * w[np.searchsorted(closed, _SERIES_BELOW)]
+        self.series = []
+        while not self.series or \
+                self.series[-1] * w_max ** len(self.series) > 2.0 ** -60 * self.series[0]:
+            n2 = 2 * len(self.series)
+            self.series.append(_gamma_ratio((p2 + q2 + n2,), (p2 + 2 + n2, q2)))
+        # The table: interpolate the grid, then polish every node by Newton.
+        cdf = np.where(closed < _SERIES_BELOW, self._series(w), closed)
+        self.log_v0 = math.log(_U_CLIP) - 0.5
+        self.step = (math.log(0.5) + 0.5 - self.log_v0) / (_TABLE_NODES - 1)
+        log_v = self.log_v0 + self.step * np.arange(_TABLE_NODES)
+        guess = np.exp(np.interp(log_v, np.log(cdf), np.log(w)))
+        self.nodes = self._newton(np.exp(log_v), guess, np.zeros_like(guess),
+                                  np.ones_like(guess), 4)
+        self.log_nodes = np.log(self.nodes)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        pos = (np.log(v) - self.log_v0) * (1.0 / self.step)
+        k = pos.astype(np.intp)
+        log_lo, log_hi = self.log_nodes[k], self.log_nodes[k + 1]
+        w = np.exp(log_lo + (pos - k) * (log_hi - log_lo))
+        return self._newton(v, w, self.nodes[k], self.nodes[k + 1], _NEWTON_STEPS)
+
+    def _newton(self, v, w, lo, hi, steps):
+        """``steps`` Newton steps on I_w(p, q) = v from ``w``, each clipped to
+        ``[lo, hi]``; the series serves ``v < _SERIES_BELOW``."""
+        series = v < _SERIES_BELOW
+        out = np.empty_like(w)
+        for sel, cdf in ((np.flatnonzero(series), self._series),
+                         (np.flatnonzero(~series), self._closed)):
+            x, target, low, high = w[sel], v[sel], lo[sel], hi[sel]
+            for _ in range(steps):
+                pdf = self.inv_beta * x ** (self.p - 1.0) * (1.0 - x) ** (self.q - 1.0)
+                x = np.clip(x - (cdf(x) - target) / pdf, low, high)
+            out[sel] = x
+        return out
+
+    def _series(self, w):
+        return w ** self.p * (1.0 - w) ** self.q * _horner(self.series, w)
+
+    def _closed(self, w):
+        if self.kind == "q_int":
+            return w ** self.p * _horner(self.poly, 1.0 - w)
+        if self.kind == "p_int":
+            return 1.0 - (1.0 - w) ** self.q * _horner(self.poly, w)
+        t = 1.0 - w
+        # the top coefficient, of t**(q - 1/2), is the array -sum_i B_i w**i
+        h = _horner(self.poly, t, top=-_horner(self.minus, w))
+        root_w = np.sqrt(w)
+        return (np.arcsin(root_w) + root_w * np.sqrt(t) * h) * (2.0 / math.pi)
+
+
+def _horner(coeffs, t, top=None):
+    """``sum_k coeffs[k] t**k``, plus ``top * t**len(coeffs)`` if given."""
+    acc = np.full_like(t, coeffs[-1]) if top is None else top * t + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _gamma_ratio(num, den) -> float:
+    """``prod Gamma(n/2) / prod Gamma(d/2)`` over the doubled arguments
+    ``num`` and ``den``: a rational times a power of sqrt(pi), rounded once."""
+
+    def rational(x2):  # Gamma(x2/2), divided by sqrt(pi) if x2 is odd
+        k = x2 // 2
+        if x2 % 2 == 0:
+            return math.factorial(k - 1), 1
+        return math.factorial(2 * k), 4 ** k * math.factorial(k)  # Gamma(k + 1/2)
+
+    ratio = Fraction(1)
+    for x2 in num:
+        top, bottom = rational(x2)
+        ratio *= Fraction(top, bottom)
+    for x2 in den:
+        top, bottom = rational(x2)
+        ratio /= Fraction(top, bottom)
+    root_pi = sum(x2 % 2 for x2 in num) - sum(x2 % 2 for x2 in den)
+    return float(ratio) * math.pi ** (root_pi / 2)
 
 
 def star_discrepancy(points: np.ndarray) -> float:

@@ -452,8 +452,9 @@ def _worker_invariance(workers, seed, n):
 
 
 def _lds_vs_prng(workers, seed, n):
-    lds = estimator.estimate_probability("sep", _lds(seed), n, replicates=8, workers=1)
-    prng = estimator.estimate_probability("sep", _prng(seed), n, replicates=8, workers=1)
+    lds = estimator.estimate_probability("sep", _lds(seed), n, replicates=8, workers=workers)
+    prng = estimator.estimate_probability("sep", _prng(seed), n, replicates=8,
+                                          workers=workers)
     ok = lds.stderr < prng.stderr
     return ok, (
         f"replicate spread {lds.stderr:.2e} (lds) vs {prng.stderr:.2e} (prng)"

@@ -1,15 +1,14 @@
-"""Each subcommand imports only the scipy modules its own code path calls.
+"""Only ``verify`` loads scipy.
 
 A cold start is mostly imports: ``scipy.special`` costs about 0.3 s and
-``scipy.stats`` about a second.  So the quadrature commands (``bounds``,
-``curves``, ``curves --residual``) and ``--version`` load no scipy module
-at all: the Gauss-Jacobi rule, ``lgamma`` and the state algebra in
-``sepscope.qstate`` are numpy and the standard library.  The cube-to-state
-map loads ``scipy.special`` (``betaincinv``) on its first call, and the
-Sobol stream is numpy alone, so ``estimate`` and ``desf`` load
-``scipy.special`` and nothing more.  Only ``verify`` loads ``scipy.stats``
-and ``scipy.integrate``.  Each check runs in a fresh interpreter, since
-this test session has long loaded these modules.
+``scipy.stats`` about a second.  So every other subcommand loads no scipy
+module at all: the quadrature commands (``bounds``, ``curves``, ``curves
+--residual``) and ``--version`` run on the Gauss-Jacobi rule, ``lgamma``
+and the state algebra in ``sepscope.qstate``, and ``estimate`` and
+``desf`` on the numpy Sobol stream and the numpy Beta quantiles of the
+cube-to-state map.  ``verify`` loads ``scipy.stats`` and
+``scipy.integrate``.  Each check runs in a fresh interpreter, since this
+test session has long loaded these modules.
 """
 
 import json
@@ -76,19 +75,14 @@ def test_quadrature_commands_load_no_scipy(loaded):
                  "curves --out curves.csv", "curves --tags jacobian",
                  "curves --residual hist.csv"):
         assert loaded[step] == [], step
-    # the map's betaincinv is the first scipy.special user
-    assert "scipy.special" in loaded["desf --engine prng"]
 
 
-def test_only_verify_loads_scipy_stats(loaded):
-    """No command run here loads ``scipy.stats`` or ``scipy.integrate``: the
-    Sobol stream is numpy, so the lds commands load ``scipy.special`` (the
-    map's) and no more."""
-    for step, modules in loaded.items():
-        heavy = [m for m in ("scipy.stats", "scipy.integrate") if m in modules]
-        assert heavy == [], step
-    for step in ("estimate --engine lds", "desf --engine lds"):
-        assert "scipy.special" in loaded[step], step
+def test_sampling_commands_load_no_scipy(loaded):
+    """``estimate`` and ``desf`` on either engine load no scipy module: the
+    Sobol stream and the map's Beta quantiles are numpy."""
+    for step in ("desf --engine prng", "estimate --engine prng",
+                 "estimate --engine lds", "desf --engine lds"):
+        assert loaded[step] == [], step
 
 
 def _fresh_import(module):

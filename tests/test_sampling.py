@@ -1,10 +1,12 @@
-"""Sampling-layer tests: stream skippability, the state map, discrepancy."""
+"""Sampling-layer tests: stream skippability, the state map and its Beta
+quantiles, discrepancy."""
 
 import itertools
 import json
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -252,6 +254,77 @@ def test_diagonal_marginal_moments():
     x2 = diag[:, 0] ** 2
     z_m2 = (x2.mean() - 7.0 / 88.0) / (x2.std(ddof=1) / np.sqrt(n))
     assert abs(z_m2) < 4.0
+
+
+# ---------------------------------------------------------------------------
+# The stick laws' quantiles
+# ---------------------------------------------------------------------------
+
+
+def _quantile_grid():
+    """``_U_CLIP``, 1/2, ``1 - _U_CLIP``, and 10**4 log-spaced tail points on
+    each side."""
+    tail = np.geomspace(sampling._U_CLIP, 0.5, 10_000)
+    return np.unique(np.concatenate((tail, 1.0 - tail)))
+
+
+def _ulps_from_true_quantile(a, b, u, x):
+    """How far each ``x`` lies from the true Beta(a, b) quantile of ``u``,
+    in units in the last place of the true quantile.  One Newton step in
+    mpmath at 40 digits from ``x`` gives the root to about 1e-30; above
+    u = 1/2 it is taken on the complement, I_y(b, a) = 1 - u at y = 1 - x,
+    so the root keeps its precision near 1."""
+    with mpmath.workdps(40):
+        inv_beta = 1 / mpmath.beta(a, b)
+        out = []
+        for ui, xi in zip(u.tolist(), x.tolist()):
+            lower = ui <= 0.5
+            p, q, w, v = (a, b, mpmath.mpf(xi), mpmath.mpf(ui)) if lower else \
+                (b, a, 1 - mpmath.mpf(xi), 1 - mpmath.mpf(ui))
+            cdf = mpmath.betainc(p, q, 0, w, regularized=True)
+            root = w - (cdf - v) / (inv_beta * w ** (p - 1) * (1 - w) ** (q - 1))
+            true = root if lower else 1 - root
+            out.append(float(abs(xi - true) / np.spacing(float(true))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a, b", sampling._STICK_PARAMS)
+def test_stick_quantile_against_mpmath(a, b):
+    """Within the stated bound of the true quantile over the clipped range,
+    its end points, 1/2 and both tails included."""
+    u = _quantile_grid()
+    x = sampling._beta_quantile(a, b, u)
+    ulps = _ulps_from_true_quantile(a, b, u, x)
+    worst = int(np.argmax(ulps))
+    assert ulps[worst] <= sampling._QUANTILE_ULP, (u[worst], ulps[worst])
+
+
+@pytest.mark.parametrize("a, b", sampling._STICK_PARAMS)
+def test_stick_quantile_against_scipy(a, b):
+    """``scipy.special.betaincinv``, itself up to a few ulp off, stays
+    within the stated bound plus 8 ulp on 10**6 random u."""
+    from scipy.special import betaincinv
+
+    u = np.clip(np.random.default_rng(18).random(1_000_000),
+                sampling._U_CLIP, 1.0 - sampling._U_CLIP)
+    ref = betaincinv(a, b, u)
+    ulps = np.abs(sampling._beta_quantile(a, b, u) - ref) / np.spacing(ref)
+    assert ulps.max() <= sampling._QUANTILE_ULP + 8
+
+
+@pytest.mark.parametrize("a, b", sampling._STICK_PARAMS)
+def test_stick_quantile_is_strictly_monotone(a, b):
+    """Strictly increasing in u across the tail grids, random points, and
+    steps of 2**-40 around the half split and the series switch."""
+    steps = np.arange(-1000, 1001) * 2.0 ** -40
+    u = np.unique(np.concatenate([
+        _quantile_grid(), np.random.default_rng(19).random(200_000),
+        *(centre + steps for centre in (0.5, sampling._SERIES_BELOW,
+                                        1.0 - sampling._SERIES_BELOW)),
+    ]))
+    x = sampling._beta_quantile(a, b, u)
+    assert np.all(np.diff(x) > 0.0)
+    assert 0.0 < x[0] and x[-1] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,23 @@ def test_xi_counts_add_over_batches(monkeypatch):
         assert np.array_equal(verify._xi_counts(workers, 303, 3500, edges), whole)
 
 
+def test_lds_vs_prng_runs_on_the_requested_workers(monkeypatch):
+    """Both estimates of the lds-against-prng rows run on ``--workers``, and
+    the row's detail does not depend on it."""
+    monkeypatch.setattr(estimator, "BATCH_SIZE", 1000)
+    seen = []
+    estimate = estimator.estimate_probability
+
+    def spy(*args, workers, **kwargs):
+        seen.append(workers)
+        return estimate(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(estimator, "estimate_probability", spy)
+    details = [verify._lds_vs_prng(workers, seed=212, n=16_000)[1] for workers in (1, 2)]
+    assert seen == [1, 1, 2, 2]
+    assert details[0] == details[1]
+
+
 def test_binomial_two_sided_pvalue():
     assert verify.binomial_two_sided_pvalue(0, 10, 0.5) == pytest.approx(2.0 / 1024.0)
     assert verify.binomial_two_sided_pvalue(5, 10, 0.5) == 1.0  # clamped at 1
