@@ -17,7 +17,9 @@ Outputs are deterministic byte-for-byte for fixed parameters: the worker
 count never appears in an output file, and wall-clock timing goes to
 stderr.  Every CSV/JSON payload embeds a manifest whose ``output_sha256``
 is the digest of the data section that follows it: ``_emit`` writes every
-artifact, and ``_read_artifact``, its inverse, reads one back.
+artifact, and ``_read_artifact``, its inverse, reads one back.  A JSON
+artifact's data is its result's fields (``dataclasses.asdict``);
+``_json_data`` is the one place an array becomes a list.
 
 Exit codes: 0 success, 2 usage error, 3 numeric/validation error (an
 unreadable or unwritable path included), 4 verification failure.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -82,8 +85,11 @@ def _canonical(obj) -> str:
 
 
 def _json_data(obj):
-    """``obj`` with each non-finite float as ``None``, which JSON writes as
-    ``null``: ``NaN`` and ``Infinity`` are not JSON."""
+    """``obj`` as JSON data: each array as a list, and each non-finite float
+    as ``None``, which JSON writes as ``null`` (``NaN`` and ``Infinity`` are
+    not JSON)."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _json_data(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -107,10 +113,11 @@ def _emit(fh, args, subcommand, params, sequence, header, rows, data,
           preamble=()) -> int:
     """Write one artifact to the stream ``fh`` in ``args.format``: the CSV
     ``# preamble`` lines, ``header`` and ``rows``, or the JSON object
-    ``data``, under a manifest whose ``output_sha256`` is the digest of that
-    data section.
-    :func:`_read_artifact` is its inverse.  JSON writes a non-finite float
-    as ``null``; the CSV keeps ``nan`` and ``inf``."""
+    ``data`` (a result's fields, arrays included), under a manifest whose
+    ``output_sha256`` is the digest of that data section.
+    :func:`_read_artifact` is its inverse.  JSON writes each array as a list
+    and a non-finite float as ``null`` (:func:`_json_data`); the CSV keeps
+    ``nan`` and ``inf``."""
     as_json = args.format == "json"
     if as_json:
         data = _json_data(data)
@@ -306,27 +313,17 @@ def _cmd_desf(args) -> int:
         params = {"n": args.n, "bins": args.bins, "ximax": args.ximax}
         header = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
         edges = hist.bin_edges
-        rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd.tolist(),
-                   hist.n_sep.tolist(), hist.ratio, hist.stderr)
+        rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd, hist.n_sep,
+                   hist.ratio, hist.stderr)
         outside = (
             f"outside: n_psd={hist.n_psd_outside} n_sep={hist.n_sep_outside} "
             f"n_total={hist.n_total}"
         )
-        data = {
-            "bin_edges": edges.tolist(),
-            "n_psd": hist.n_psd.tolist(),
-            "n_sep": hist.n_sep.tolist(),
-            "n_psd_outside": hist.n_psd_outside,
-            "n_sep_outside": hist.n_sep_outside,
-            "n_total": hist.n_total,
-        }
         return _emit(fh, args, "desf", params, spec.to_dict(), header, rows,
-                     data, preamble=(outside,))
+                     dataclasses.asdict(hist), preamble=(outside,))
 
 
-_DESF_FIELDS = (
-    "bin_edges", "n_psd", "n_sep", "n_psd_outside", "n_sep_outside", "n_total",
-)
+_DESF_FIELDS = tuple(f.name for f in dataclasses.fields(DesfHistogram))
 
 
 def _csv_value(text: str, parse):
@@ -484,9 +481,9 @@ def _cmd_curves(args) -> int:
     params = {"tags": tags, "grid": args.grid, "beta": args.beta, "tol": args.tol}
     header = ["xi"] + tags
     rows = zip(grid, *(cols[t] for t in tags))
-    data = {"xi": grid.tolist(), **{t: cols[t].tolist() for t in tags}}
     with _open_out(args.out) as fh:
-        return _emit(fh, args, "curves", params, None, header, rows, data)
+        return _emit(fh, args, "curves", params, None, header, rows,
+                     {"xi": grid, **cols})
 
 
 def _cmd_curves_residual(args) -> int:
@@ -506,20 +503,10 @@ def _cmd_curves_residual(args) -> int:
     )
     header = ("xi_mid", "ratio", "ref", "residual", "sigma", "zscore")
     rows = zip(hist.xi_mid, hist.ratio, ref, cmp_.residual, cmp_.sigma, cmp_.zscore)
-    data = {
-        "xi_mid": hist.xi_mid.tolist(),
-        "residual": cmp_.residual.tolist(),
-        "sigma": cmp_.sigma.tolist(),
-        "zscore": cmp_.zscore.tolist(),
-        "max_abs_z": cmp_.max_abs_z,
-        "mean_signed": cmp_.mean_signed,
-        "n_used": cmp_.n_used,
-        "n_skipped": cmp_.n_skipped,
-    }
     # opened after the histogram is read, so --out may name that file
     with _open_out(args.out) as fh:
-        return _emit(fh, args, "curves", params, None, header, rows, data,
-                     preamble=(summary,))
+        return _emit(fh, args, "curves", params, None, header, rows,
+                     dataclasses.asdict(cmp_), preamble=(summary,))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -78,9 +78,6 @@ _TABLE_NODES = 2048
 # Newton steps from the table's guess, which is within about 1e-5 relative:
 # the second step reaches the rounding of the CDF itself.
 _NEWTON_STEPS = 2
-
-# Corners of the star-discrepancy grid tested per vectorized pass.
-_CORNER_CHUNK = 8192
 
 # Joe-Kuo direction numbers of Sobol dimensions 1-40, one row per dimension:
 # the primitive polynomial (leading and constant terms included) and the
@@ -436,7 +433,7 @@ def _gamma_ratio(num, den) -> float:
 
 
 def star_discrepancy(points: np.ndarray) -> float:
-    """Exact star discrepancy by corner enumeration.
+    """Exact star discrepancy by prefix counts over every critical box.
 
     Exhaustive over all critical boxes, so it is restricted to ``n <= 64``
     and ``d <= 3``; it exists to test that the low-discrepancy engine
@@ -453,13 +450,14 @@ def star_discrepancy(points: np.ndarray) -> float:
     if np.any(pts < 0.0) or np.any(pts >= 1.0):
         raise ValueError("points must lie in [0, 1)")
     candidates = [np.unique(np.concatenate((pts[:, j], [1.0]))) for j in range(d)]
-    corners = np.stack(np.meshgrid(*candidates, indexing="ij"), axis=-1).reshape(-1, d)
-    worst = 0.0
-    # a chunk of corners at a time: (chunk, n, d) booleans stay ~1.5 MB
-    for start in range(0, len(corners), _CORNER_CHUNK):
-        y = corners[start:start + _CORNER_CHUNK]
-        vol = y.prod(axis=1)
-        closed = np.count_nonzero(np.all(pts <= y[:, None], axis=2), axis=1) / n
-        open_ = np.count_nonzero(np.all(pts < y[:, None], axis=2), axis=1) / n
-        worst = max(worst, float(np.max(closed - vol)), float(np.max(vol - open_)))
-    return worst
+    # each point counted at its index among each axis's candidates, plus 1; after
+    # a cumsum along every axis, entry [i + 1] counts [0, y_i] and [i] [0, y_i)
+    counts = np.zeros([len(c) + 1 for c in candidates], dtype=np.int64)
+    np.add.at(counts, tuple(np.searchsorted(c, pts[:, j]) + 1
+                            for j, c in enumerate(candidates)), 1)
+    for axis in range(d):
+        np.cumsum(counts, axis=axis, out=counts)
+    closed = counts[(slice(1, None),) * d] / n
+    open_ = counts[(slice(None, -1),) * d] / n
+    vol = reduce(np.multiply.outer, candidates)  # y_0 * y_1 * y_2, left to right
+    return max(0.0, float(np.max(closed - vol)), float(np.max(vol - open_)))

@@ -183,7 +183,7 @@ def _bound_table(workers, tol, bound, product_bound):
 def _half_line_doubling(workers, tol, bound):
     """The even tags' half-line pass against a full-line pass of ``S J``."""
     worst = 0.0
-    for tag in ("dom", "int", "conjecture", "previous", "product_int"):
+    for tag in (t for t in sepfun.TAGS if t in sepfun.EVEN_TAGS):
         a = quadrature.separability_probability(tag, tol)
         b = quadrature.integrate_real_line(
             lambda x: sepfun.eval_desf_array(tag, x) * sepfun.jacobian_xi(x), tol

@@ -339,11 +339,10 @@ def test_jacobi_rule_against_high_precision(alpha, n):
 
 
 def test_general_beta_density_is_symmetric_at_beta_two():
-    """The xi < 0 side integrates the mirrored form, so the density is even
-    only as far as the rule is exactly symmetric."""
+    """The density is computed at |xi|, so it is even bit for bit."""
     xs = np.linspace(-8.5, 8.5, 1701)
-    v = jacobian_general_beta(2.0, xs)
-    assert np.max(np.abs(v - v[::-1]) / v) <= 1e-12
+    assert np.array_equal(jacobian_general_beta(2.0, xs),
+                          jacobian_general_beta(2.0, -xs))
 
 
 def test_general_beta_unreachable_tolerance_reports_best():
