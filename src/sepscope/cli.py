@@ -210,7 +210,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError:
         raise ValueError(f"grid must look like 'min:max:count', got {text!r}") from None
-    if count < 1 or not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+    if count < 1 or not (lo <= hi and np.isfinite(hi - lo)):  # so lo and hi are finite
         raise ValueError(f"bad grid specification {text!r}")
     return np.linspace(lo, hi, count)
 

@@ -103,16 +103,13 @@ def corr_minor(s, rows):
 
 
 def z_psd_mask(z: np.ndarray) -> np.ndarray:
-    """Strict positive-definiteness mask for correlation matrices.
-
-    Sylvester's criterion on the leading minors; the PSD/PD boundary has
-    measure zero under the sampling measures used here.  The 4x4
-    determinant is evaluated only on rows that pass the 2x2 and 3x3 minors.
-    """
-    mask = (corr_minor(z.T, (0, 1)) > 0.0) & (corr_minor(z.T, (0, 1, 2)) > 0.0)
-    rows = np.flatnonzero(mask)
-    mask[rows] = corr_minor(z[rows].T, (0, 1, 2, 3)) > 0.0
-    return mask
+    """Strict positive-definiteness mask for correlation matrices: each
+    row's 2x2, 3x3 and 4x4 leading minors all positive (Sylvester's
+    criterion), one expression over every row.  The PSD/PD boundary has
+    measure zero under the sampling measures used here."""
+    s = z.T
+    return ((corr_minor(s, (0, 1)) > 0.0) & (corr_minor(s, (0, 1, 2)) > 0.0)
+            & (corr_minor(s, (0, 1, 2, 3)) > 0.0))
 
 
 def pt_correlations(z: np.ndarray, xi):

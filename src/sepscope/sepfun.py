@@ -277,7 +277,7 @@ def _jacobian_direct(x) -> np.ndarray:
         out[near] = (64.0 / (27.0 * _PI2)) * num / np.sinh(a) ** 9
     far = ~near
     if np.any(far):
-        a = ax[far]
+        a = np.minimum(ax[far], 1e3)  # J is an exact 0 well before the cap: no inf * 0
         em = np.exp(-2.0 * a)
         em2 = em * em
         m = (-80.0 * em + 80.0 * em * em2 - 12.5 + 12.5 * em2 * em2

@@ -683,6 +683,7 @@ def test_bad_grid_is_a_numeric_error():
     assert main(["curves", "--grid", "1:0:5"]) == 3
     assert main(["curves", "--grid", "a:b:c"]) == 3
     assert main(["curves", "--grid", "0:1"]) == 3
+    assert main(["curves", "--grid=-1e308:1e308:3"]) == 3  # max - min overflows
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +696,10 @@ def test_numeric_errors_exit_3(capsys):
     assert main(["estimate", "--n", "100", "--workers", "0"]) == 3
     assert main(["desf", "--n", "100", "--bins", "1"]) == 3
     assert "error" in capsys.readouterr().err
+    # bin edges that overflow, or that repeat, as curves --residual would refuse
+    for ximax in ("1e308", "1e-322"):
+        assert main(["desf", "--n", "100", "--bins", "101", "--ximax", ximax]) == 3
+        assert f"error: ximax={float(ximax)}:" in capsys.readouterr().err
     # one stream point, not a positive state: no histogram of empty bins
     assert main(["desf", "--n", "1", "--bins", "5"]) == 3
     out, err = capsys.readouterr()

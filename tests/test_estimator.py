@@ -356,6 +356,10 @@ def test_estimate_desf_validation():
         estimate_desf(_prng(0), 1000, ximax=0.0)
     with pytest.raises(ValueError):
         estimate_desf(_prng(0), 1000, ximax=np.inf)
+    # edges that overflow, or that repeat: refused as curves --residual would
+    for ximax in (1e308, 1e-322):
+        with pytest.raises(ValueError, match="^ximax="):
+            estimate_desf(_prng(0), 1000, ximax=ximax)
     with pytest.raises(ValueError):
         estimate_desf(_prng(0, dimension=6), 1000)
     with pytest.raises(ValueError):

@@ -197,15 +197,26 @@ def test_pt_correlations_are_the_dense_partial_transpose():
         assert np.array_equal(pt[:, i, j], pt[:, j, i])
 
 
-def test_z_psd_mask_matches_eigensolve():
+@pytest.mark.parametrize("order", ["C", "F"], ids=["row-major", "column-major"])
+def test_z_psd_mask_matches_eigensolve(order):
+    """The mask is the eigensolve's verdict whatever the memory layout of
+    ``z``, and it refuses correlations of exactly -1: the ``u = 0`` point of
+    an unscrambled Sobol stream, and a singular (3,4) block that only the
+    4x4 minor sees."""
     rng = np.random.default_rng(44)
     z = rng.uniform(-1.0, 1.0, size=(3000, 6))
+    z[0] = -1.0
+    z[1] = (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)
+    z = np.array(z, order=order)
+    assert z.flags.c_contiguous == (order == "C")
     zz = np.ones((len(z), 4, 4))
     for k, (i, j) in enumerate(Z_PAIRS):
         zz[:, i, j] = zz[:, j, i] = z[:, k]
     ev_min = np.linalg.eigvalsh(zz)[:, 0]
     clear = np.abs(ev_min) > 1e-12  # skip the measure-zero boundary
-    assert np.array_equal(z_psd_mask(z)[clear], ev_min[clear] > 0)
+    mask = z_psd_mask(z)
+    assert not mask[0] and not mask[1]
+    assert np.array_equal(mask[clear], ev_min[clear] > 0)
 
 
 def test_assemble_states_matches_scalar_constructor():

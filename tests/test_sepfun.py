@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -240,6 +241,16 @@ def test_density_extreme_tail_underflows_cleanly():
     v = jacobian_xi(np.array([200.0, 500.0]))
     assert v[0] >= 0.0 and v[1] == 0.0  # graceful underflow, no nan/inf
     assert np.all(np.isfinite(v))
+
+
+def test_density_is_an_exact_zero_out_to_infinity():
+    """J(xi) underflows to 0 from |xi| ~ 150; the far branch must not
+    overflow into inf * 0 = NaN on the way to +-inf."""
+    xs = np.array([np.inf, -np.inf, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = jacobian_xi(xs)
+    assert np.array_equal(v, np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
