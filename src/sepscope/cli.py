@@ -19,7 +19,8 @@ stderr.  Every CSV/JSON payload embeds a manifest whose ``output_sha256``
 is the digest of the data section that follows it: ``_emit`` writes every
 artifact, and ``_read_artifact``, its inverse, reads one back.  A JSON
 artifact's data is its result's fields (``dataclasses.asdict``);
-``_json_data`` is the one place an array becomes a list.
+``_json_texts`` is the one place an array becomes JSON text, and it writes
+both the digest body and the file from one rendering of each number.
 
 Exit codes: 0 success, 2 usage error, 3 numeric/validation error (an
 unreadable or unwritable path included), 4 verification failure.
@@ -38,6 +39,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -84,19 +86,52 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _json_data(obj):
-    """``obj`` as JSON data: each array as a list, and each non-finite float
-    as ``None``, which JSON writes as ``null`` (``NaN`` and ``Infinity`` are
-    not JSON)."""
-    if isinstance(obj, np.ndarray):
+def _json_texts(obj, pad="\n"):
+    """``obj`` as two JSON texts, the bytes of ``json.dumps(obj,
+    sort_keys=True)`` with ``separators=(",", ":")`` (compact: the digest
+    body) and with ``indent=2`` from the line start ``pad`` (the file).
+
+    Each array is written as a list and each non-finite float as ``null``
+    (``NaN`` and ``Infinity`` are not JSON).  Every number is rendered once
+    and both texts join the same strings: a 1-D float array costs one
+    ``float.__repr__`` per element, where ``json.dumps`` with ``indent``
+    runs its pure-Python encoder."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and not (obj.ndim == 1 and obj.dtype.kind == "f"):
         obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _json_data(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_json_data(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+    if isinstance(obj, np.ndarray):
+        compact = list(map(float.__repr__, obj.tolist()))
+        for k in np.flatnonzero(~np.isfinite(obj)).tolist():
+            compact[k] = "null"
+        brackets, indented = "[]", compact
+    elif isinstance(obj, dict):
+        brackets, compact, indented = "{}", [], []
+        for key in sorted(obj):
+            name = encode_basestring_ascii(key)
+            c, i = _json_texts(obj[key], inner)
+            compact.append(f"{name}:{c}")
+            indented.append(f"{name}: {i}")
+    elif isinstance(obj, (list, tuple)):
+        texts = [_json_texts(v, inner) for v in obj]
+        brackets, compact, indented = "[]", [c for c, _ in texts], [i for _, i in texts]
+    else:
+        if isinstance(obj, str):
+            text = encode_basestring_ascii(obj)
+        elif obj is None:
+            text = "null"
+        elif obj is True or obj is False:
+            text = "true" if obj else "false"
+        elif isinstance(obj, int):
+            text = int.__repr__(obj)
+        elif isinstance(obj, float):
+            text = float.__repr__(obj) if math.isfinite(obj) else "null"
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return text, text
+    if not compact:
+        return brackets, brackets
+    return (brackets[0] + ",".join(compact) + brackets[1],
+            brackets[0] + inner + ("," + inner).join(indented) + pad + brackets[1])
 
 
 def _fmt(v) -> str:
@@ -115,13 +150,12 @@ def _emit(fh, args, subcommand, params, sequence, header, rows, data,
     ``# preamble`` lines, ``header`` and ``rows``, or the JSON object
     ``data`` (a result's fields, arrays included), under a manifest whose
     ``output_sha256`` is the digest of that data section.
-    :func:`_read_artifact` is its inverse.  JSON writes each array as a list
-    and a non-finite float as ``null`` (:func:`_json_data`); the CSV keeps
-    ``nan`` and ``inf``."""
+    :func:`_read_artifact` is its inverse.  :func:`_json_texts` writes
+    the JSON digest body and file text, each array as a list and a
+    non-finite float as ``null``; the CSV keeps ``nan`` and ``inf``."""
     as_json = args.format == "json"
     if as_json:
-        data = _json_data(data)
-        body = _canonical(data)
+        body, data_text = _json_texts(data, "\n  ")
     else:
         buf = io.StringIO()
         for line in preamble:
@@ -139,8 +173,9 @@ def _emit(fh, args, subcommand, params, sequence, header, rows, data,
         "output_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
     }
     if as_json:
-        payload = {"manifest": manifest, "data": data}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        # {"manifest": ..., "data": ...} with sorted keys and indent=2
+        _, manifest_text = _json_texts(manifest, "\n  ")
+        text = f'{{\n  "data": {data_text},\n  "manifest": {manifest_text}\n}}\n'
     else:
         text = (
             f"# sepscope {__version__} {subcommand}\n"

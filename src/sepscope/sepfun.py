@@ -77,8 +77,8 @@ JACOBIAN_AT_ZERO = 16384.0 / (2835.0 * _PI2)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form branches.  Each takes a = |xi| > 0 and is written overflow-free
-# in terms of decaying exponentials.
+# Closed-form branches, in decaying exponentials, at a = |xi| in (0, 1e3]:
+# eval_desf_array caps a there, where every e^-a is an exact 0 already.
 # ---------------------------------------------------------------------------
 
 
@@ -180,8 +180,8 @@ def eval_desf_array(tag: str, xi) -> np.ndarray:
     pos_branch, neg_branch, at_zero = _CURVES[tag]
     out = np.where(x == 0, at_zero, np.nan)
     pos, neg = x > 0, x < 0
-    out[pos] = pos_branch(x[pos])
-    out[neg] = neg_branch(-x[neg])
+    out[pos] = pos_branch(np.minimum(x[pos], 1e3))
+    out[neg] = neg_branch(np.minimum(-x[neg], 1e3))
     return out.reshape(scalar_shape)
 
 

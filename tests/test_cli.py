@@ -154,6 +154,74 @@ def test_outputs_are_pinned(tmp_path):
     assert digests == _PINNED_OUTPUTS
 
 
+def _stdlib_data(obj):
+    """``obj`` as the stdlib's ``json.dumps`` takes it: each array as a
+    list, and each non-finite float as ``None``."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _stdlib_data(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_stdlib_data(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+_NAN, _INF = float("nan"), float("inf")
+_TEXT = 'say "hi" \\ back\\slash\ttab \u00e9\u03be\u221e \U0001d4b3 \u2028'
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    [],
+    {"b": {"z": {}, "a": {"y": [], "x": [1, 2]}}, "a": [{"c": 1}, []]},
+    np.arange(6).reshape(2, 3),
+    np.array([3, -2, 2**62], dtype=np.int64),
+    {"t": True, "f": False, "n": None, "x": np.float64(0.1), "y": np.float64(-2.5e-300)},
+    np.array([_NAN, 1.0, _INF, 2.0, -_INF]),
+    np.array([-_INF, 1.0, _NAN, 2.0, _INF]),
+    np.array([_INF, -_INF, 0.5, _NAN]),
+    [_NAN, 1.0, _INF, 2.0, -_INF],
+    {"nan": np.float64(_NAN), "inf": _INF, "-inf": -_INF},
+    np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    [-0.0, 5e-324, 1.7976931348623157e308],
+    np.array([], dtype=float),
+    np.array([[0.5, _NAN], [-0.0, 1e-7]]),
+    {_TEXT: [_TEXT, (1, "a")]},
+], ids=[
+    "empty-dict", "empty-list", "nested", "int-2d", "int64", "scalars",
+    "nonfinite-1", "nonfinite-2", "nonfinite-3", "nonfinite-list",
+    "nonfinite-scalars", "extremes", "extremes-list", "empty-float",
+    "float-2d", "string",
+])
+def test_json_writer_matches_stdlib(obj):
+    """Both texts of the one JSON writer are the stdlib's: compact for the
+    digest body, indented for the file."""
+    want = _stdlib_data(obj)
+    compact, indented = cli._json_texts(obj)
+    assert compact == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    assert indented == json.dumps(want, sort_keys=True, indent=2)
+
+
+def test_json_table_at_benchmark_size(tmp_path):
+    """The 12001-point table of every column, as the benchmark writes it:
+    the file is the stdlib's indented JSON, its digest is that of the
+    canonical data, and it reads back."""
+    out = tmp_path / "curves.json"
+    assert main(["curves", "--grid", "-6.2:6.2:12001", "--format", "json",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    payload = json.loads(text, parse_constant=_refuse_constant)
+    # line by line: a failed match of 3.6 MB strings would take minutes to diff
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert text.split("\n") == want.split("\n")
+    digest = hashlib.sha256(cli._canonical(payload["data"]).encode("utf-8")).hexdigest()
+    assert payload["manifest"]["output_sha256"] == digest
+    assert len(payload["data"]["xi"]) == 12001 and len(payload["data"]) == 11
+    assert cli._read_artifact(str(out)) == (payload["manifest"], payload["data"])
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

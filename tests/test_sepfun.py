@@ -84,6 +84,19 @@ def test_nan_xi_gives_nan(tag):
     assert math.isnan(eval_desf_array(tag, math.nan))
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_far_tail_is_the_limit_at_infinity(tag):
+    """Out to the largest double every branch is at its limit (0, 1 or
+    39 pi/128), with no overflow of its decaying exponentials on the way."""
+    big = 1.7976931348623157e308
+    xs = np.array([7e307, -7e307, big, -big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_desf_array(tag, xs)
+        want = eval_desf_array(tag, np.copysign(np.inf, xs))
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # Analytic invariants of the closed forms
 # ---------------------------------------------------------------------------
