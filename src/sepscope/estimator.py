@@ -48,9 +48,10 @@ import numpy as np
 
 from .errors import InsufficientSamplesError
 from .qstate import (
+    EVENTS,
     abs_separable_mask,
     assemble_states,
-    corr_minor,
+    event_margin,
     pt_corr_det4,
     pt_correlations,
     xi_from_diag,
@@ -342,10 +343,10 @@ def estimate_desf(
 
 @dataclass(frozen=True)
 class MinorGridEstimate:
-    """P(minor >= 0 | positive) at each point of an xi grid.
+    """P(event | positive) at each point of an xi grid.
 
     Every grid point reuses one conditioning sample: ``n_psd`` positive
-    states, of which ``n_event[k]`` satisfy the minor at ``xi[k]``.
+    states, of which ``n_event[k]`` satisfy the event at ``xi[k]``.
     """
 
     xi: np.ndarray
@@ -362,19 +363,18 @@ class MinorGridEstimate:
 
 
 def estimate_minor_desf(
+    event: str,
     spec: SequenceSpec,
     n: int,
-    rows,
     xi_grid,
     *,
     workers: int = 1,
 ) -> MinorGridEstimate:
-    """P(minor >= 0 | full matrix positive) at each xi in the grid.
+    """P(event | full matrix positive) at each xi in the grid.
 
-    The minor is the principal minor of the partial transpose on the 0-based
-    ``rows`` it keeps: two, three or all four strictly increasing indices in
-    0..3, so ``(0, 1, 2, 3)`` is the full determinant and its estimate the
-    separability function S(xi) itself.
+    The ``event`` is a name in :data:`qstate.EVENTS`: a set of principal
+    minors of the partial transpose that must all be >= 0.  For ``det``, the
+    full determinant, the estimate is the separability function S(xi) itself.
 
     Samples correlations uniformly on the cube, conditions once on full
     positivity (which does not involve xi — only the constraint does, via
@@ -387,11 +387,8 @@ def estimate_minor_desf(
     :class:`InsufficientSamplesError` if nothing survives the positivity
     conditioning.
     """
-    rows = tuple(rows)
-    if not 2 <= len(rows) <= 4 or not all(0 <= a < b <= 3 for a, b in zip(rows, rows[1:])):
-        raise ValueError(
-            f"rows must be 2 to 4 strictly increasing indices in 0..3, got {rows}"
-        )
+    if not isinstance(event, str) or event not in EVENTS:
+        raise ValueError(f"unknown event {event!r}; valid events: {', '.join(EVENTS)}")
     grid = np.asarray(list(xi_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("xi_grid must be non-empty")
@@ -401,8 +398,8 @@ def estimate_minor_desf(
         raise ValueError("xi_grid must be strictly increasing")
 
     def tally(_, z):
-        # the sign of the minor is diagonal-free (see qstate.pt_correlations)
-        return (np.array([(corr_minor(pt_correlations(z, xi), rows) >= 0.0).sum()
+        # the sign of each minor is diagonal-free (see qstate.pt_correlations)
+        return (np.array([(event_margin(pt_correlations(z, xi), event) >= 0.0).sum()
                           for xi in grid], dtype=np.int64),)
 
     [(n_psd, counts)], _ = _estimate(spec, n, 6, tally, workers)

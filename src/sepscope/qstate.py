@@ -22,13 +22,16 @@ stacks.  The dense :func:`partial_transpose` is the reference;
 :func:`pt_correlations` is its form in correlation coordinates and the one
 the estimators run.  Every minor of the partial transpose is read from its
 six columns by :func:`corr_minor`, which names a principal minor by the
-0-based rows it keeps (``(0, 1, 2, 3)`` is the full determinant).  The
-kernels are plain polynomial arithmetic (plus one batched eigensolve), with
-no Python-level loop over rows.
+0-based rows it keeps (``(0, 1, 2, 3)`` is the full determinant); each event
+the estimators and ``verify`` test, a set of minors that must all be >= 0, is
+named in :data:`EVENTS` and evaluated by :func:`event_margin`.  The kernels
+are plain polynomial arithmetic (plus one batched eigensolve), with no
+Python-level loop over rows.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +41,8 @@ __all__ = [
     "werner",
     "partial_transpose",
     "corr_minor",
+    "EVENTS",
+    "event_margin",
     "corr_matrices",
     "z_psd_mask",
     "pt_correlations",
@@ -102,6 +107,26 @@ def corr_minor(s, rows):
     return (_corr_det3 if len(off) == 3 else _corr_det4)(*off)
 
 
+#: Events on the partial transpose's principal minors, by name: the 0-based
+#: rows of each minor that must be >= 0 ("delete:k" drops 1-based row k,
+#: "pair:i,j" keeps rows i and j).
+EVENTS = {
+    "det": ((0, 1, 2, 3),),
+    "minors3": tuple(combinations(range(4), 3)),
+    "minors2": tuple(combinations(range(4), 2)),
+    "delete:1": ((1, 2, 3),), "delete:2": ((0, 2, 3),),
+    "delete:3": ((0, 1, 3),), "delete:4": ((0, 1, 2),),
+    "pair:2,3": ((1, 2),), "pair:1,4": ((0, 3),),
+}
+
+
+def event_margin(s, event):
+    """The smallest minor of the named ``event`` on six columns ``s`` ordered
+    per :data:`Z_PAIRS`: the event holds where it is >= 0.  A one-minor event
+    returns that minor itself."""
+    return reduce(np.minimum, (corr_minor(s, rows) for rows in EVENTS[event]))
+
+
 def z_psd_mask(z: np.ndarray) -> np.ndarray:
     """Strict positive-definiteness mask for correlation matrices: each
     row's 2x2, 3x3 and 4x4 leading minors all positive (Sylvester's
@@ -125,7 +150,7 @@ def pt_correlations(z: np.ndarray, xi):
 def pt_corr_det4(z: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """det of the partial transpose's correlation matrix; the full
     determinant is this value times ``prod(diag)``."""
-    return corr_minor(pt_correlations(z, xi), (0, 1, 2, 3))
+    return event_margin(pt_correlations(z, xi), "det")
 
 
 def xi_from_diag(diag: np.ndarray) -> np.ndarray:

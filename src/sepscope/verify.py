@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,7 +29,7 @@ from . import estimator, quadrature, sampling, sepfun
 from .qstate import (
     assemble_states,
     corr_matrices,
-    corr_minor,
+    event_margin,
     partial_transpose,
     pt_corr_det4,
     pt_correlations,
@@ -259,14 +258,8 @@ def _pt_minor_implications(workers, seed, n, states, tol):
         return False, f"only {len(z)} states among {n} draws, need {states}"
     diag, z = diag[:states], z[:states]
     s = pt_correlations(z, xi_from_diag(diag))
-    det4 = corr_minor(s, (0, 1, 2, 3))
-
-    def minors(size):
-        return np.logical_and.reduce(
-            [corr_minor(s, rows) >= -tol for rows in combinations(range(4), size)]
-        )
-
-    minors3, minors2 = minors(3), minors(2)
+    det4 = event_margin(s, "det")
+    minors3, minors2 = (event_margin(s, e) >= -tol for e in ("minors3", "minors2"))
     chain = int(np.sum((det4 >= 0.0) & ~minors3) + np.sum(minors3 & ~minors2))
 
     # two diagonals with the same xi give the same verdict
@@ -462,19 +455,17 @@ def _lds_vs_prng(workers, seed, n):
     )
 
 
-#: The six informative principal minors of the partial transpose, by their
-#: 1-based label ("delete:k" drops row k, "pair:i,j" keeps rows i and j): the
-#: 0-based rows each keeps, and the closed-form branch its conditional
-#: probability follows.  Minors holding the (2, 3) slot of
+#: The closed-form branch each informative single-minor event of
+#: ``qstate.EVENTS`` follows.  Minors holding the (2, 3) slot of
 #: ``qstate.pt_correlations`` follow the right-branch curves, those holding
 #: its (1, 4) slot the left-branch ones; the four other pairs have no curve.
 _MINORS = {
-    "delete:1": ((1, 2, 3), "three_right"),
-    "delete:4": ((0, 1, 2), "three_right"),
-    "delete:2": ((0, 2, 3), "three_left"),
-    "delete:3": ((0, 1, 3), "three_left"),
-    "pair:2,3": ((1, 2), "two_right"),
-    "pair:1,4": ((0, 3), "two_left"),
+    "delete:1": "three_right",
+    "delete:4": "three_right",
+    "delete:2": "three_left",
+    "delete:3": "three_left",
+    "pair:2,3": "two_right",
+    "pair:1,4": "two_left",
 }
 
 
@@ -487,9 +478,9 @@ def _minor_curves(workers, minors, n, grid, z_max, pairs=()):
     ests = {}
     worst, worst_at = 0.0, ""
     for text, seed in minors.items():
-        rows, tag = _MINORS[text]
+        tag = _MINORS[text]
         est = ests[text] = estimator.estimate_minor_desf(
-            _prng(seed, dimension=6), n, rows, grid, workers=workers
+            text, _prng(seed, dimension=6), n, grid, workers=workers
         )
         refs = sepfun.eval_desf_array(tag, grid)
         for xi, got, se, ref in zip(grid, est.ratio, est.stderr, refs):
@@ -512,11 +503,11 @@ def _minor_curves(workers, minors, n, grid, z_max, pairs=()):
 
 
 def _desf_intercept_exact_xi(workers, seed, n, z_max):
-    """S(0) = 135 pi^2 / 2176 at exactly xi = 0: the full partial-transpose
-    determinant, rows (0, 1, 2, 3), on every positive sample rather than on a
+    """S(0) = 135 pi^2 / 2176 at exactly xi = 0: the event ``det`` (the full
+    partial-transpose determinant) on every positive sample rather than on a
     histogram bin's share, with the binomial sigma of the reference."""
     est = estimator.estimate_minor_desf(
-        _prng(seed, dimension=6), n, (0, 1, 2, 3), (0.0,), workers=workers
+        "det", _prng(seed, dimension=6), n, (0.0,), workers=workers
     )
     ref = REFERENCES["desf_intercept"]
     z = (est.ratio[0] - ref) / estimator._binomial_se(ref, est.n_psd)

@@ -16,7 +16,13 @@ from sepscope.estimator import (
     estimate_minor_desf,
     estimate_probability,
 )
-from sepscope.qstate import assemble_states, corr_minor, pt_correlations, z_psd_mask
+from sepscope.qstate import (
+    EVENTS,
+    assemble_states,
+    event_margin,
+    pt_correlations,
+    z_psd_mask,
+)
 from sepscope.quadrature import integrate_real_line
 from sepscope.sampling import SequenceSpec, next_points
 from sepscope.sepfun import eval_desf_array, jacobian_xi
@@ -143,7 +149,7 @@ _PARTITIONED_RUNS = {
     "desf-prng": lambda w: _fields(estimate_desf(_prng(67), 20_000, bins=15, workers=w)),
     "desf-lds": lambda w: _fields(estimate_desf(_lds(67), 20_000, bins=15, workers=w)),
     "minor": lambda w: _fields(estimate_minor_desf(
-        _prng(68, dimension=6), 20_000, (0, 2, 3),
+        "delete:2", _prng(68, dimension=6), 20_000,
         [-1.0, 0.0, 0.5], workers=w)),
 }
 
@@ -255,7 +261,7 @@ def test_tallies_are_pinned(monkeypatch):
         assert (hist.n_psd_outside, hist.n_sep_outside) == (out_psd, out_sep)
 
     minor = estimate_minor_desf(
-        _prng(2718, dimension=6), 10_000, (1, 2, 3),
+        "delete:1", _prng(2718, dimension=6), 10_000,
         [-1.0, -0.5, 0.0, 0.5, 1.0], workers=2,
     )
     assert minor.n_psd == 1841
@@ -419,12 +425,13 @@ def test_minor_branch_table():
     """Each label keeps the rows it names (1-based; "delete:k" drops row k),
     and its curve is a right branch exactly when the minor holds the (2, 3)
     slot of the partial transpose, a left branch when it holds (1, 4)."""
-    assert {label: tag for label, (_, tag) in _MINORS.items()} == {
+    assert _MINORS == {
         "delete:1": "three_right", "delete:4": "three_right",
         "delete:2": "three_left", "delete:3": "three_left",
         "pair:2,3": "two_right", "pair:1,4": "two_left",
     }
-    for label, (rows, tag) in _MINORS.items():
+    for label, tag in _MINORS.items():
+        (rows,) = EVENTS[label]
         kind, index = label.split(":")
         named = [int(i) - 1 for i in index.split(",")]
         kept = named if kind == "pair" else [i for i in range(4) if i != named[0]]
@@ -433,8 +440,8 @@ def test_minor_branch_table():
         assert tag.endswith("_left") == ({0, 3} <= set(rows)), label
 
 
-def _event(z, xi, rows):
-    return corr_minor(pt_correlations(z, xi), rows) >= 0.0
+def _event(z, xi, event):
+    return event_margin(pt_correlations(z, xi), event) >= 0.0
 
 
 def _pt_submatrix_sign(diag, z, rows):
@@ -457,27 +464,21 @@ def _two_diagonals_for_xi(xi, n):
     return d1, d2
 
 
-_ORACLE_ROWS = {
-    "delete:1": (1, 2, 3), "delete:2": (0, 2, 3), "delete:3": (0, 1, 3),
-    "delete:4": (0, 1, 2), "pair:2,3": (1, 2), "pair:1,4": (0, 3),
-    "pair:1,3": (0, 2), "full": (0, 1, 2, 3),
-}
-
-
-@pytest.mark.parametrize("rows", _ORACLE_ROWS.values(), ids=_ORACLE_ROWS.keys())
-def test_minor_event_mask_matches_dense_oracle(rows):
-    """The correlation-space event on ``rows`` agrees with the dense minor of
+@pytest.mark.parametrize("event", EVENTS)
+def test_minor_event_mask_matches_dense_oracle(event):
+    """The correlation-space event agrees with the AND of its dense minors of
     the partially transposed state (its determinant for all four rows) for
     two different diagonals realizing the same xi."""
-    rng = np.random.default_rng(hash(rows) % 2**32)
+    rng = np.random.default_rng(hash(EVENTS[event]) % 2**32)
     z = rng.uniform(-1, 1, size=(20_000, 6))
     z = z[z_psd_mask(z)]
     for xi in (-0.8, 0.0, 1.3):
-        mask = _event(z, xi, rows)
+        mask = _event(z, xi, event)
         for diag in _two_diagonals_for_xi(xi, len(z)):
-            det = _pt_submatrix_sign(diag, z, list(rows))
-            clear = np.abs(det) > 1e-15
-            assert np.array_equal(mask[clear], det[clear] >= 0)
+            dets = [_pt_submatrix_sign(diag, z, list(rows)) for rows in EVENTS[event]]
+            clear = np.logical_and.reduce([np.abs(det) > 1e-15 for det in dets])
+            want = np.logical_and.reduce([det >= 0 for det in dets])
+            assert np.array_equal(mask[clear], want[clear])
 
 
 def test_delete_minors_are_pairwise_equivalent():
@@ -489,30 +490,29 @@ def test_delete_minors_are_pairwise_equivalent():
     z_r = z[:, [5, 4, 2, 3, 1, 0]]
     assert np.array_equal(z_psd_mask(z_r), z_psd_mask(z))
     for xi in (-1.0, 0.3, 2.0):
-        d1 = _event(z, xi, (1, 2, 3))
-        d4 = _event(z_r, xi, (0, 1, 2))
+        d1 = _event(z, xi, "delete:1")
+        d4 = _event(z_r, xi, "delete:4")
         assert np.array_equal(d1, d4)
-        d2 = _event(z, xi, (0, 2, 3))
-        d3 = _event(z_r, xi, (0, 1, 3))
+        d2 = _event(z, xi, "delete:2")
+        d3 = _event(z_r, xi, "delete:3")
         assert np.array_equal(d2, d3)
 
 
 def test_estimate_minor_desf_validation():
-    minor = (1, 2, 3)
     with pytest.raises(ValueError):
-        estimate_minor_desf(_prng(0), 1000, minor, [0.0])  # needs dimension 6
+        estimate_minor_desf("delete:1", _prng(0), 1000, [0.0])  # needs dimension 6
     spec = _prng(0, dimension=6)
-    for rows in [(1,), (2, 1), (1, 1), (0, 4), (-1, 2), (0, 1, 2, 3, 3), ()]:
-        with pytest.raises(ValueError, match="rows must be"):
-            estimate_minor_desf(spec, 1000, rows, [0.0])
+    for event in ["nope", (1, 2, 3), [1, 2, 3]]:
+        with pytest.raises(ValueError, match="unknown event .*; valid events: det, "):
+            estimate_minor_desf(event, spec, 1000, [0.0])
     with pytest.raises(ValueError):
-        estimate_minor_desf(spec, 0, minor, [0.0])
+        estimate_minor_desf("delete:1", spec, 0, [0.0])
     with pytest.raises(ValueError):
-        estimate_minor_desf(spec, 1000, minor, [])
+        estimate_minor_desf("delete:1", spec, 1000, [])
     with pytest.raises(ValueError):
-        estimate_minor_desf(spec, 1000, minor, [0.5, 0.5])
+        estimate_minor_desf("delete:1", spec, 1000, [0.5, 0.5])
     with pytest.raises(ValueError):
-        estimate_minor_desf(spec, 1000, minor, [np.nan])
+        estimate_minor_desf("delete:1", spec, 1000, [np.nan])
 
 
 def test_estimate_minor_desf_nothing_survives(monkeypatch):
@@ -522,7 +522,7 @@ def test_estimate_minor_desf_nothing_survives(monkeypatch):
         estimator, "z_psd_mask", lambda z: np.zeros(len(z), dtype=bool)
     )
     runs = (
-        lambda: estimate_minor_desf(_prng(0, dimension=6), 100, (1, 2, 3), [0.0]),
+        lambda: estimate_minor_desf("delete:1", _prng(0, dimension=6), 100, [0.0]),
         lambda: estimate_desf(_prng(0), 100, bins=5),
         lambda: estimate_probability("sep", _prng(0), 100),
     )
@@ -534,7 +534,7 @@ def test_estimate_minor_desf_nothing_survives(monkeypatch):
 def test_minor_estimates_track_their_curves():
     grid = [-1.0, 0.0, 1.0]
     est = estimate_minor_desf(
-        _prng(881, dimension=6), 200_000, (1, 2, 3), grid
+        "delete:1", _prng(881, dimension=6), 200_000, grid
     )
     assert np.array_equal(est.xi, grid)
     for i, xi in enumerate(grid):
@@ -547,7 +547,7 @@ def test_box_minor_is_certain_on_its_easy_side():
     """The 2x2 minor on rows (1, 2) scales a correlation by e^xi, so for
     xi < 0 it cannot fail; the estimate is exactly 1 with zero spread."""
     est = estimate_minor_desf(
-        _prng(882, dimension=6), 50_000, (1, 2),
+        "pair:2,3", _prng(882, dimension=6), 50_000,
         [-0.5, 0.25],
     )
     assert est.ratio[0] == 1.0

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from sepscope.qstate import (
+    EVENTS,
     Z_PAIRS,
     abs_separable_mask,
     assemble_states,
     corr_matrices,
     corr_minor,
+    event_margin,
     partial_transpose,
     pt_corr_det4,
     pt_correlations,
@@ -171,6 +173,28 @@ def test_principal_minors_match_dense_determinants():
         for dense, s in ((rho, z.T), (pt, pt_correlations(z, xi_from_diag(diag)))):
             want = np.linalg.det(dense[:, keep][:, :, keep])
             assert np.allclose(corr_minor(s, rows) * scale, want, atol=1e-14), rows
+
+
+def test_event_margin_is_the_and_of_its_minors():
+    """``event_margin >= t`` holds exactly where every minor of the event is
+    >= t, also on partial-transpose columns whose xi is +-inf or NaN (a zero
+    diagonal entry), where the minors are infinite or NaN."""
+    assert EVENTS["minors3"] == tuple(combinations(range(4), 3))
+    assert EVENTS["minors2"] == tuple(combinations(range(4), 2))
+    rng = np.random.default_rng(45)
+    diag, z = _random_coords(rng, 400)
+    diag[0::4, 0] = 0.0  # xi = -inf
+    diag[1::4, 1] = 0.0  # xi = +inf
+    diag[2::4, [0, 2]] = 0.0  # xi = NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = xi_from_diag(diag)
+        s = pt_correlations(z, xi)
+        assert np.isneginf(xi).any() and np.isposinf(xi).any() and np.isnan(xi).any()
+        for event, minors in EVENTS.items():
+            margin = event_margin(s, event)
+            for t in (0.0, -1e-10):
+                want = np.logical_and.reduce([corr_minor(s, rows) >= t for rows in minors])
+                assert np.array_equal(margin >= t, want), (event, t)
 
 
 def test_pt_corr_det4_matches_full_determinant():

@@ -10,7 +10,7 @@ import pytest
 
 import sepscope.estimator as estimator
 import sepscope.verify as verify
-from sepscope.qstate import xi_from_diag, z_psd_mask
+from sepscope.qstate import EVENTS, xi_from_diag, z_psd_mask
 from sepscope.sampling import cube_to_bloore_batch, next_points
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,6 +20,20 @@ def test_registry_names_are_unique_and_levels_known():
     names = [check.name for check in verify.CHECKS]
     assert len(names) == len(set(names))
     assert {check.level for check in verify.CHECKS} == set(verify.LEVELS)
+
+
+def test_minor_rows_name_known_events():
+    """Every minor-curve row, quick or full, names only labels of the branch
+    table, which are events of ``qstate.EVENTS``, and pairs only its own
+    minors; checked without running a row."""
+    rows = [check for check in verify.CHECKS if check.fn is verify._minor_curves]
+    assert {check.level for check in rows} == set(verify.LEVELS)
+    assert set(verify._MINORS) <= set(EVENTS)
+    for check in rows:
+        minors = check.params["minors"]
+        assert set(minors) <= set(verify._MINORS), check.name
+        for pair in check.params.get("pairs", ()):
+            assert set(pair) <= set(minors), check.name
 
 
 def test_a_raising_check_is_a_failed_check(monkeypatch):
