@@ -135,12 +135,12 @@ def _json_texts(obj, pad="\n"):
 
 
 def _fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):  # first: most cells are np.float64
+        return format(float(v), ".17g")
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
     return str(v)
 
 
@@ -332,6 +332,13 @@ def _cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_DESF_FIELDS = tuple(f.name for f in dataclasses.fields(DesfHistogram))
+#: The columns of a ``desf`` CSV, in the order ``desf`` writes them.
+_DESF_COLUMNS = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
+#: Each key of a ``desf`` CSV's ``# outside:`` line: the field it holds.
+_OUTSIDE = {"n_psd": "n_psd_outside", "n_sep": "n_sep_outside", "n_total": "n_total"}
+
+
 def _cmd_desf(args) -> int:
     spec = _sequence_spec(args)
     workers = _workers(args)
@@ -346,19 +353,13 @@ def _cmd_desf(args) -> int:
         for note in _split_notes(spec, args.n, 1, args.n):
             print(f"note: {note}", file=sys.stderr)
         params = {"n": args.n, "bins": args.bins, "ximax": args.ximax}
-        header = ("bin_lo", "bin_hi", "xi_mid", "n_psd", "n_sep", "ratio", "stderr")
         edges = hist.bin_edges
         rows = zip(edges[:-1], edges[1:], hist.xi_mid, hist.n_psd, hist.n_sep,
                    hist.ratio, hist.stderr)
-        outside = (
-            f"outside: n_psd={hist.n_psd_outside} n_sep={hist.n_sep_outside} "
-            f"n_total={hist.n_total}"
-        )
-        return _emit(fh, args, "desf", params, spec.to_dict(), header, rows,
+        outside = "outside: " + " ".join(
+            f"{key}={getattr(hist, field)}" for key, field in _OUTSIDE.items())
+        return _emit(fh, args, "desf", params, spec.to_dict(), _DESF_COLUMNS, rows,
                      dataclasses.asdict(hist), preamble=(outside,))
-
-
-_DESF_FIELDS = tuple(f.name for f in dataclasses.fields(DesfHistogram))
 
 
 def _csv_value(text: str, parse):
@@ -379,34 +380,30 @@ def _desf_csv_fields(path: str, text: str) -> dict:
                 key, eq, val = part.partition("=")
                 if not eq:
                     raise ValueError(f"{path}: cannot read {part!r} on the '# outside:' line")
-                key = key if key == "n_total" else f"{key}_outside"
-                fields[key] = _csv_value(val, int)
+                if key not in _OUTSIDE:
+                    raise ValueError(f"{path}: unknown entry {part!r} on the '# outside:' "
+                                     f"line; desf writes {', '.join(_OUTSIDE)}")
+                fields[_OUTSIDE[key]] = _csv_value(val, int)
         elif line and not line.startswith("#"):
             body.append(line)
     if len(body) < 2:
         raise ValueError(f"no data rows in {path}")
-    reader = csv.reader(body)
-    header = next(reader)
-    idx = {name: k for k, name in enumerate(header)}
-    for need in ("bin_lo", "bin_hi", "n_psd", "n_sep"):
-        if need not in idx:
-            raise ValueError(f"{path} lacks required column {need!r}")
-    rows = list(reader)
+    header, *rows = csv.reader(body)
+    if tuple(header) != _DESF_COLUMNS:
+        raise ValueError(f"{path}: the header {','.join(header)} is not desf's "
+                         f"{','.join(_DESF_COLUMNS)}")
     for row in rows:
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: a row has {len(row)} columns, the header {len(header)}"
             )
-
-    def column(name, parse):
-        return [_csv_value(row[idx[name]], parse) for row in rows]
-
-    lo, hi = column("bin_lo", float), column("bin_hi", float)
+    lo, hi, _, n_psd, n_sep, _, _ = zip(*rows)
+    lo, hi = ([_csv_value(v, float) for v in column] for column in (lo, hi))
     if hi[:-1] != lo[1:]:
         raise ValueError(f"{path}: a row's bin_hi is not the next row's bin_lo")
     fields["bin_edges"] = lo + hi[-1:]
-    fields["n_psd"] = column("n_psd", int)
-    fields["n_sep"] = column("n_sep", int)
+    fields["n_psd"], fields["n_sep"] = (
+        [_csv_value(v, int) for v in column] for column in (n_psd, n_sep))
     return fields
 
 

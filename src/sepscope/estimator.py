@@ -227,7 +227,7 @@ def estimate_probability(target: str, spec: SequenceSpec, n: int, *, workers: in
     independent re-scramblings supply the spread; any other stream reads
     one and gets the binomial error.
     """
-    if target not in TARGETS:
+    if not isinstance(target, str) or target not in TARGETS:
         raise ValueError(f"unknown target {target!r}; valid targets: {', '.join(TARGETS)}")
     test = TARGETS[target]
     if replicates is None:
@@ -389,9 +389,9 @@ def estimate_minor_desf(
     """
     if not isinstance(event, str) or event not in EVENTS:
         raise ValueError(f"unknown event {event!r}; valid events: {', '.join(EVENTS)}")
-    grid = np.asarray(list(xi_grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("xi_grid must be non-empty")
+    grid = np.asarray(xi_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("xi_grid must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(grid)):
         raise ValueError("xi_grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):

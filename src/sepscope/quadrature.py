@@ -264,10 +264,13 @@ _BOUND_REFS = {
 def bound_row(tag: str, ref_expr: str, ref_value: float, integrate, *args) -> BoundRow:
     """The row for ``integrate(*args)``.  When the quadrature cannot reach
     its tolerance the row carries the best estimate and ``converged=False``
-    rather than aborting the table."""
+    rather than aborting the table; an error carrying no
+    :class:`QuadratureResult` (an inner quadrature's failure) propagates."""
     try:
         return BoundRow(tag, ref_expr, ref_value, integrate(*args))
     except QuadratureError as exc:
+        if not isinstance(exc.result, QuadratureResult):
+            raise
         return BoundRow(tag, ref_expr, ref_value, exc.result, converged=False)
 
 

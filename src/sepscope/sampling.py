@@ -29,9 +29,10 @@ sticks, build the diagonal by stick-breaking through Beta quantile functions
 coordinates 3-8 map affinely onto the correlations ``z = 2u - 1``.
 A 6-dimensional point is the correlations alone.  Positivity is *not*
 imposed here; estimators count the fraction of the cube that lands inside
-the positive-semidefinite body.  Only ``estimator._positive_states`` splits
-a point, and it passes :func:`cube_to_bloore_batch` the sticks of the
-positive points alone, whose diagonal is all the map returns.
+the positive-semidefinite body.  Callers split a point themselves and pass
+:func:`cube_to_bloore_batch` the sticks, whose diagonal is all the map
+returns: ``estimator._positive_states`` of the positive points alone,
+``verify._diagonal_moments`` and ``verify._xi_counts`` of every point.
 The map's Beta(5/2, 15/2), Beta(5/2, 5) and Beta(5/2, 5/2) quantiles are
 numpy too (``_beta_quantile``: closed-form CDFs, a positive-term series in
 the tails, Newton steps from a table), within ``_QUANTILE_ULP`` units in the

@@ -58,6 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
+from .sampling import _horner
 
 __all__ = [
     "TAGS",
@@ -128,11 +129,7 @@ def _three_branch_neg(a):
         out[near] = (3.0 * math.pi / 1024.0) * f
     far = ~near
     if np.any(far):
-        u2 = np.exp(-2.0 * a[far])
-        acc = np.full_like(u2, _THREE_LEFT_TAIL[-1])
-        for c in _THREE_LEFT_TAIL[-2::-1]:
-            acc = acc * u2 + c
-        out[far] = (3.0 * math.pi / 1024.0) * acc
+        out[far] = (3.0 * math.pi / 1024.0) * _horner(_THREE_LEFT_TAIL, np.exp(-2.0 * a[far]))
     return out
 
 
@@ -250,11 +247,7 @@ _N_SERIES_LIMIT = 1.25
 
 def _jacobian_series(x) -> np.ndarray:
     """Maclaurin evaluation of J itself (even series in x^2)."""
-    y = np.square(np.asarray(x, dtype=float))
-    acc = np.full_like(y, _J_COEFFS[-1])
-    for c in _J_COEFFS[-2::-1]:
-        acc = acc * y + c
-    return acc
+    return _horner(_J_COEFFS, np.square(np.asarray(x, dtype=float)))
 
 
 def _jacobian_direct(x) -> np.ndarray:
@@ -269,11 +262,7 @@ def _jacobian_direct(x) -> np.ndarray:
     near = ax <= _N_SERIES_LIMIT
     if np.any(near):
         a = ax[near]
-        y = a * a
-        acc = np.full_like(y, _N_COEFFS[-1])
-        for c in _N_COEFFS[-2::-1]:
-            acc = acc * y + c
-        num = acc * a**9  # N(x) = x^9 * sum c_k x^(2k)
+        num = _horner(_N_COEFFS, a * a) * a**9  # N(x) = x^9 * sum c_k x^(2k)
         out[near] = (64.0 / (27.0 * _PI2)) * num / np.sinh(a) ** 9
     far = ~near
     if np.any(far):

@@ -642,6 +642,38 @@ def test_residual_names_a_malformed_outside_entry(tmp_path, capsys):
     assert "cannot read 'n_total20000' on the '# outside:' line" in err
 
 
+_NEVER_WRITTEN = {
+    "reordered": "the header bin_hi,bin_lo,xi_mid,",
+    "no_stderr": "the header bin_lo,bin_hi,xi_mid,n_psd,n_sep,ratio is not desf's",
+    "unknown_key": "unknown entry 'n_foo=3' on the '# outside:' line",
+}
+
+
+@pytest.mark.parametrize("case", list(_NEVER_WRITTEN))
+def test_residual_rejects_what_desf_never_writes(tmp_path, capsys, case):
+    """A resealed CSV whose header is not ``desf``'s column list (reordered
+    consistently with its cells, or short of ``stderr``), or whose
+    ``# outside:`` line holds a key ``desf`` does not write, exits 3 naming
+    the header or the entry."""
+    csv_path, _ = _desf_pair(tmp_path)
+    text = csv_path.read_text()
+    lines = text.split("\n")
+    header = next(i for i, ln in enumerate(lines) if ln.startswith("bin_lo,"))
+    if case == "unknown_key":
+        lines[2] += " n_foo=3"
+    for k in range(header, len(lines) - 1):
+        cells = lines[k].split(",")
+        if case == "reordered":
+            cells[:2] = cells[1::-1]
+        elif case == "no_stderr":
+            cells.pop()
+        lines[k] = ",".join(cells)
+    csv_path.write_text(_resealed(text, "\n".join(lines[2:])))
+    capsys.readouterr()
+    assert main(["curves", "--residual", str(csv_path), "--tags", "conjecture"]) == 3
+    assert _NEVER_WRITTEN[case] in capsys.readouterr().err
+
+
 def test_residual_rejects_a_bin_hi_off_the_next_bin_lo(tmp_path, capsys):
     """``desf`` prints ``bin_lo`` and ``bin_hi`` from one edge array, so each
     row's ``bin_hi`` is the next row's ``bin_lo``; a file where one is not

@@ -112,6 +112,8 @@ def test_estimator_input_validation():
         estimate_probability("sep", _prng(0), 1000, workers=0)
     with pytest.raises(ValueError, match="unknown target 'nope'; valid targets: sep,"):
         estimate_probability("nope", _prng(0), 1000)
+    with pytest.raises(ValueError, match=r"unknown target \['sep'\]; valid targets: sep,"):
+        estimate_probability(["sep"], _prng(0), 10)  # unhashable, so no lookup
 
 
 def test_reruns_are_bit_identical():
@@ -513,6 +515,8 @@ def test_estimate_minor_desf_validation():
         estimate_minor_desf("delete:1", spec, 1000, [0.5, 0.5])
     with pytest.raises(ValueError):
         estimate_minor_desf("delete:1", spec, 1000, [np.nan])
+    with pytest.raises(ValueError, match="xi_grid must be a non-empty 1-D sequence"):
+        estimate_minor_desf("det", spec, 1000, np.array(0.0))  # 0-d: not iterable
 
 
 def test_estimate_minor_desf_nothing_survives(monkeypatch):

@@ -13,6 +13,7 @@ from sepscope.quadrature import (
     BoundRow,
     QuadratureResult,
     _panel,
+    bound_row,
     bound_table,
     complex_speculation_probability,
     integrate_real_line,
@@ -216,6 +217,15 @@ def test_bound_table_survives_unreachable_tolerance():
         if not row.converged:
             tolr = 1e-5 if row.tag == "product_int" else 1e-9
             assert row.diff < tolr  # best effort is still accurate
+
+
+def test_bound_row_keeps_no_inner_failure():
+    """At tol 1e-17 the beta = 2 row fails in its inner slice quadrature,
+    whose error carries a density array, not a QuadratureResult of the row:
+    ``bound_row`` re-raises it rather than keep a row no table can print."""
+    with pytest.raises(QuadratureError, match="slice quadrature") as exc:
+        bound_row("conjecture_sq_beta2", "", 0.25, complex_speculation_probability, 1e-17)
+    assert not isinstance(exc.value.result, QuadratureResult)
 
 
 # ---------------------------------------------------------------------------
