@@ -11,10 +11,12 @@ Every estimator here follows one discipline:
 One driver (``_estimate``) is the only place a batch is built.  Every batch
 runs one stage (``_positive_states``), the one place that splits a cube
 point and lays out ``z``: stream -> correlations ``z = 2u - 1`` of the last
-six coordinates, as six contiguous columns -> positivity mask -> the
-survivors' stick coordinates mapped to their diagonal, when the point has
-sticks.  Every kernel reads ``z`` by column, a quarter of the cost at the
-48-byte stride of rows, so the mask evaluates all its minors on every row.
+six coordinates, written in place into the column-major batch the stage
+owns -> positivity mask -> the survivors' ``z``, again six contiguous
+columns, and their stick coordinates mapped to their diagonal, when the
+point has sticks.  Every kernel reads ``z`` by column, a quarter of the
+cost at the 48-byte stride of rows, so the mask evaluates all its minors
+on every row.
 Positivity never depends on the diagonal, so only the survivors are mapped,
 about 18% of the stream; the map is row-wise, so masking first changes no
 tally.  Each estimator is then a ``tally(diag, z)`` of that batch's
@@ -134,15 +136,18 @@ def _run_batches(tasks, kernel, workers: int):
 
 def _positive_states(spec, offset, size):
     """The one stage of every batch: stream it, form ``z = 2u - 1`` of the
-    last six coordinates as six contiguous columns, mask on positivity, and
-    map the survivors' sticks to their diagonal when the point has sticks.
-    Returns the ``(diag or None, z)`` of the batch's positive states."""
+    last six coordinates in place (the batch is column-major and the
+    stage's own, so each correlation is one contiguous column), mask on
+    positivity, and map the survivors' sticks to their diagonal when the
+    point has sticks.  Returns the ``(diag or None, z)`` of the batch's
+    positive states, ``z`` again stored by column (``z.T`` C-contiguous)."""
     pts = next_points(spec, size, offset)
-    cols = np.multiply(pts[:, -6:].T, 2.0, order="C")  # z = 2u - 1, one row per correlation
+    cols = pts[:, -6:].T  # one row per correlation, each contiguous
+    cols *= 2.0  # z = 2u - 1, in the batch this stage owns
     cols -= 1.0
     keep = z_psd_mask(cols.T)
     diag = cube_to_bloore_batch(pts[keep, :-6]) if pts.shape[1] > 6 else None
-    return diag, cols[:, keep].T
+    return diag, cols.compress(keep, axis=1).T
 
 
 def _estimate(spec, n, dimension, tally, workers, replicates=1):

@@ -20,7 +20,9 @@ Two engines produce points in ``[0, 1)^d``:
 The fundamental contract is *skippability*: for a fixed spec,
 ``next_points(spec, n, offset)`` returns exactly rows ``offset .. offset+n-1``
 of one infinite matrix, so any partition of the index range reassembles to
-identical samples.
+identical samples.  Each call returns a fresh column-major (F-contiguous)
+array that the caller owns and may overwrite: the batch stage reads it by
+column and writes its correlations into it.
 
 A 9-dimensional point maps to a random density matrix under the
 Hilbert-Schmidt measure in two independent blocks: coordinates 0-2, the
@@ -105,6 +107,10 @@ _SOBOL_TABLE = (
     (301, (1, 3, 1, 11, 11, 11, 77, 249)),
 )
 
+# Doubles of a Philox stream drawn per block, 256 KiB, before the block is
+# transposed into the column-major batch.
+_PHILOX_BLOCK = 1 << 15
+
 # Bits of a Sobol coordinate; the stream has 2**_SOBOL_BITS rows.
 _SOBOL_BITS = 30
 
@@ -153,8 +159,8 @@ class SequenceSpec:
 
 
 def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
-    """Rows ``offset .. offset+n-1`` of the stream defined by ``spec``, as an
-    ``(n, spec.dimension)`` array."""
+    """Rows ``offset .. offset+n-1`` of the stream defined by ``spec``, as a
+    fresh, writeable, column-major ``(n, spec.dimension)`` array."""
     if n < 0 or offset < 0:
         raise ValueError("n and offset must be non-negative")
     d = spec.dimension
@@ -168,10 +174,15 @@ def next_points(spec: SequenceSpec, n: int, offset: int = 0) -> np.ndarray:
         rem = total % 4
         if rem:
             gen.random(rem)
-        pts = gen.random((n, d))
-    else:
-        pts = _sobol(spec, n, offset)
-    return pts
+        # The stream runs along rows, the batch is stored by column: draw a
+        # block of rows at a time and transpose it while it is in cache.
+        rows = max(1, _PHILOX_BLOCK // d)
+        cols = np.empty((d, n))
+        for start in range(0, n, rows):
+            block = gen.random((min(rows, n - start), d))
+            cols[:, start:start + len(block)] = block.T
+        return cols.T
+    return _sobol(spec, n, offset)
 
 
 def _sobol_directions(spec: SequenceSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -211,13 +222,15 @@ def _sobol_directions(spec: SequenceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
-    """Rows ``offset .. offset+n-1`` of the Sobol stream of ``spec``.
+    """Rows ``offset .. offset+n-1`` of the Sobol stream of ``spec``, a
+    column-major view of the ``(d, n)`` array ``q`` it fills.
 
-    Row k is ``shift ^ XOR{v_b : bit b of gray(k)}`` scaled by 2**-30.  The
-    range is split into maximal aligned power-of-two blocks; since
-    ``gray(a + i) = gray(a) ^ gray(i)`` for ``a`` a multiple of a power of two
-    above ``i``, each block doubles from its first row:
-    ``x[h:2h] = x[h-1::-1] ^ v_j`` for ``h = 2**j``.
+    Point k, column k of ``q``, is ``shift ^ XOR{v_b : bit b of gray(k)}``
+    scaled by 2**-30.  The range is split into maximal aligned power-of-two
+    blocks; since ``gray(a + i) = gray(a) ^ gray(i)`` for ``a`` a multiple of
+    a power of two above ``i``, each block doubles from its first column:
+    ``x[:, h:2h] = x[:, h-1::-1] ^ v_j`` for ``h = 2**j``, each XOR running
+    along a contiguous row of ``q``.
 
     Each 30-bit integer q is filled as the float64 bit pattern
     ``0x3FF << 52 | q << 22``, which is the double 1 + q * 2**-30: the
@@ -233,23 +246,23 @@ def _sobol(spec: SequenceSpec, n: int, offset: int) -> np.ndarray:
     mantissa_pad = np.uint64(52 - _SOBOL_BITS)
     shift = np.uint64(0x3FF << 52) | shift.astype(np.uint64) << mantissa_pad
     v = v.astype(np.uint64) << mantissa_pad
-    q = np.empty((n, spec.dimension), dtype=np.uint64)
+    q = np.empty((spec.dimension, n), dtype=np.uint64)
     start, end = offset, offset + n
     while start < end:
         size = 1 << ((end - start).bit_length() - 1)
         if start:
             size = min(size, start & -start)
-        block = q[start - offset:start - offset + size]
+        block = q[:, start - offset:start - offset + size]
         gray = start ^ (start >> 1)
         in_gray = ((gray >> np.arange(_SOBOL_BITS)) & 1).astype(bool)
-        block[0] = shift ^ np.bitwise_xor.reduce(v[:, in_gray], axis=1)
+        block[:, 0] = shift ^ np.bitwise_xor.reduce(v[:, in_gray], axis=1)
         for j in range(size.bit_length() - 1):
             h = 1 << j
-            np.bitwise_xor(block[h - 1::-1], v[:, j], out=block[h:2 * h])
+            np.bitwise_xor(block[:, h - 1::-1], v[:, j:j + 1], out=block[:, h:2 * h])
         start += size
     pts = q.view(np.float64)
     pts -= 1.0
-    return pts
+    return pts.T
 
 
 def cube_to_bloore_batch(sticks: np.ndarray) -> np.ndarray:

@@ -123,6 +123,8 @@ _PINNED_OUTPUTS = {
     "curves.json": "816a8ac554a872360654b72aeefeca855286ac29d8a726876034e8d9015e0c00",
     "res.csv": "030b1dde3123129ab454a097afabc1901fb11630bbc21d9f7153f44dfd0b1851",
     "res.json": "1955ef4f29d8de26cb033aed9c0c0c0f6d4e2c7e4fe25da23ff2c83f01b681e2",
+    "hist_lds.csv": "5c65325315939bb80978cece343bdd0355cfa36cca09b4c35527786f141f2b16",
+    "est_lds.json": "5b8abad87fd70e67a40379c71ec7fe8956e70ff1f75090b757bf4be5894cce84",
 }
 
 
@@ -131,7 +133,8 @@ def test_outputs_are_pinned(tmp_path):
     formats, is pinned by its sha256: a refactor of the envelope (title,
     manifest, digest, data) must not move a byte.  ``bounds`` and
     ``--beta 2`` are left out, because their last ulp depends on the
-    Gauss-Jacobi nodes."""
+    Gauss-Jacobi nodes.  ``desf`` and ``estimate`` are pinned on both
+    engines."""
     hist = ["desf", "--engine", "prng", "--n", "30000", "--seed", "7", "--bins", "11"]
     est = ["estimate", "--engine", "prng", "--n", "20000", "--seed", "5"]
     runs = {
@@ -145,6 +148,10 @@ def test_outputs_are_pinned(tmp_path):
                     "--tags", "conjecture"],
         "res.json": ["curves", "--residual", str(tmp_path / "hist.csv"),
                      "--tags", "conjecture", "--format", "json"],
+        "hist_lds.csv": ["desf", "--engine", "lds", "--n", "8192", "--seed", "7",
+                         "--bins", "11"],
+        "est_lds.json": ["estimate", "--engine", "lds", "--n", "8192", "--seed", "5",
+                         "--format", "json"],
     }
     digests = {}
     for name, argv in runs.items():

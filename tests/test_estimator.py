@@ -187,7 +187,7 @@ def test_positive_states_split_each_point(monkeypatch):
     of the last six coordinates, the stick coordinates before them (mapped
     here by the identity), and only the rows whose z is positive survive."""
     pts = np.vstack([np.full((1, 9), 0.5), next_points(_prng(5), 10_000)])
-    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts)
+    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts.copy())
     monkeypatch.setattr(estimator, "cube_to_bloore_batch", lambda sticks: sticks)
     sticks, z = estimator._positive_states(_prng(5), 0, len(pts))
     assert np.array_equal(z[0], np.zeros(6))  # u = 0.5 maps to the center
@@ -203,9 +203,19 @@ def test_positive_states_split_each_point(monkeypatch):
         raise AssertionError("a 6-d point has no sticks to map")
 
     monkeypatch.setattr(estimator, "cube_to_bloore_batch", no_map)
-    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts[:, 3:])
+    monkeypatch.setattr(estimator, "next_points", lambda spec, n, offset: pts[:, 3:].copy())
     diag6, z6 = estimator._positive_states(_prng(5, dimension=6), 0, len(pts))
     assert diag6 is None and np.array_equal(z6, z)
+
+
+@pytest.mark.parametrize("spec", [_prng(8), _lds(8)], ids=["prng", "lds"])
+def test_positive_states_keep_z_by_column(spec):
+    """The stage forms z in the batch it streamed and hands its survivors on
+    as six contiguous columns, on both engines."""
+    diag, z = estimator._positive_states(spec, 0, 4096)
+    assert z.T.flags.c_contiguous and len(diag) == len(z) > 0
+    want = 2.0 * next_points(spec, 4096)[:, 3:] - 1.0
+    assert np.array_equal(z, want[z_psd_mask(want)])
 
 
 def test_only_positive_points_are_mapped(monkeypatch):

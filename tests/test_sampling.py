@@ -81,6 +81,18 @@ def test_same_spec_same_points():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_next_points_returns_a_fresh_column_major_batch(engine):
+    """The batch stage writes z into the array it streamed, one contiguous
+    column per coordinate: each read is its caller's own F-ordered array."""
+    spec = SequenceSpec(engine, 4)
+    a, b = next_points(spec, 5000, 5), next_points(spec, 5000, 5)
+    assert a.flags.f_contiguous and a.flags.writeable
+    assert not np.shares_memory(a, b)
+    a *= 2.0
+    assert np.array_equal(b, next_points(spec, 5000, 5))
+
+
 def test_chunked_reads_reassemble_both_engines():
     """Arbitrary partitions of the index range give bit-identical samples;
     the chunk sizes are chosen so the pseudo-random engine's position lands
